@@ -31,9 +31,8 @@ def test_fig10_noc_speedup(benchmark):
 
     # Paper shape: on the communication-sensitive platform CoSA keeps a clear
     # advantage over Random search (3.3x there).  The CoSA-vs-Hybrid ordering
-    # is reported (and discussed in EXPERIMENTS.md) but not asserted: on the
-    # quick layer subset the two trade places on the DeepBench layers, where
-    # the log-space traffic objective cannot distinguish unicasting a large
-    # tensor from unicasting a small one.
+    # is reported but not asserted: on the quick layer subset the two trade
+    # places on the DeepBench layers, where the log-space traffic objective
+    # cannot distinguish unicasting a large tensor from unicasting a small one.
     assert overall_cosa > 1.0
     assert any(s.cosa_geomean >= s.hybrid_geomean for s in summaries)

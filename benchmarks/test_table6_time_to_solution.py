@@ -12,19 +12,19 @@ def test_table6_time_to_solution(benchmark):
         kwargs.update(hybrid_threads=8, hybrid_termination=256, hybrid_max_evaluations=8000)
     table = benchmark.pedantic(table6_time_to_solution, kwargs=kwargs, rounds=1, iterations=1)
 
-    rows = [
-        [row.scheduler, row.avg_runtime_seconds, row.avg_samples, row.avg_evaluations]
-        for row in table.rows
-    ]
-    rows.append(["Hybrid runtime / CoSA runtime", table.cosa_advantage_over_hybrid, "", ""])
+    # The tracked report keeps only deterministic columns; wall-clock
+    # seconds go to stdout so a test run leaves the tree clean.
     save_report(
         "table6_time_to_solution",
         format_table(
-            ["scheduler", "avg runtime / layer [s]", "avg samples / layer", "avg evaluations / layer"],
-            rows,
+            ["scheduler", "avg samples / layer", "avg evaluations / layer"],
+            [[row.scheduler, row.avg_samples, row.avg_evaluations] for row in table.rows],
             title=f"Table VI - time to solution ({table.num_layers} layers)",
         ),
     )
+    runtimes = [[row.scheduler, row.avg_runtime_seconds] for row in table.rows]
+    runtimes.append(["Hybrid runtime / CoSA runtime", table.cosa_advantage_over_hybrid])
+    print(format_table(["scheduler", "avg runtime / layer [s]"], runtimes, title="Table VI - runtime"))
 
     # Shape checks: CoSA evaluates exactly one schedule per layer while the
     # search baselines sample many; the hybrid mapper evaluates far more

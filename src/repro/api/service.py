@@ -806,16 +806,17 @@ class SchedulingService:
                 return
             job.state = JobState.FAILED
         try:
+            # Persist the terminal state before waiters wake: on the
+            # dead-letter path no worker is alive to update the record, so
+            # merge ours in (keeping worker/task bookkeeping an earlier
+            # attempt may have written).
+            if job._store is not None:
+                record = job._store.load_job(job.id) or {}
+                record.update(job.to_dict())
+                job._store.record_job(record)
             job._emit(RunFailed, error_type=error_type, error_message=message)
         finally:
             job._done.set()
-        # Persist the terminal state: on the dead-letter path no worker is
-        # alive to update the record, so merge ours in (keeping worker/task
-        # bookkeeping an earlier attempt may have written).
-        if job._store is not None:
-            record = job._store.load_job(job.id) or {}
-            record.update(job.to_dict())
-            job._store.record_job(record)
 
     # ----------------------------------------------------------- single-flight
     def _settle_followers(self, leader: Job) -> None:

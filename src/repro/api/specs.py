@@ -30,11 +30,6 @@ METRICS = ("latency", "energy", "edp")
 #: Executor kinds accepted by the engine.
 EXECUTORS = ("thread", "process")
 
-#: Evaluation-kernel backends accepted by the engine.  Kept in sync with
-#: :data:`repro.model.kernels.KERNEL_BACKENDS` (asserted by the test suite)
-#: rather than imported, so spec parsing stays dependency-free.
-KERNEL_BACKENDS = ("numpy", "numba", "off")
-
 
 def _require_keys(data: Mapping, allowed: tuple[str, ...], where: str) -> None:
     if not isinstance(data, Mapping):
@@ -325,19 +320,16 @@ class PlatformSpec:
 class EngineSpec:
     """Engine knobs: parallelism, mapping cache, batching and time budget.
 
-    ``kernel_backend`` selects the vectorized-evaluation backend of
-    :mod:`repro.model.kernels` (``"numpy"``/``"numba"``/``"off"``); ``None``
-    defers to the ``REPRO_KERNEL_BACKEND`` environment variable.  All
-    backends are bit-identical, so the knob is execution-only — it is
-    omitted from serialized specs when unset, keeping legacy spec files and
-    their fingerprints byte-identical.
-
     ``fusion_options`` tunes the fused alignment search (currently only
     ``max_candidates``, the frontier-candidate cap — distinct from
     ``WorkloadSpec.fusion_options``, which carries a fusion group factory's
-    *workload* options).  It is execution-only like ``kernel_backend``:
-    omitted from serialized specs when empty and excluded from store
-    fingerprints (:data:`repro.api.store.EXECUTION_ONLY_ENGINE_KEYS`).
+    *workload* options).  It is execution-only: omitted from serialized
+    specs when empty and excluded from store fingerprints
+    (:data:`repro.api.store.EXECUTION_ONLY_ENGINE_KEYS`).
+
+    :meth:`from_dict` accepts and drops the ``kernel_backend`` key of the
+    removed evaluation-backend knob, so stored records and older specs
+    still parse to the same fingerprint.
     """
 
     #: Recognised ``fusion_options`` keys.
@@ -348,7 +340,6 @@ class EngineSpec:
     batch_size: int = 64
     time_budget: float | None = None
     executor: str = "thread"
-    kernel_backend: str | None = None
     fusion_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -365,12 +356,6 @@ class EngineSpec:
             self.executor in EXECUTORS,
             f"EngineSpec.executor must be one of {EXECUTORS}, got {self.executor!r}",
         )
-        if self.kernel_backend is not None:
-            _require(
-                self.kernel_backend in KERNEL_BACKENDS,
-                f"EngineSpec.kernel_backend must be one of {KERNEL_BACKENDS}, "
-                f"got {self.kernel_backend!r}",
-            )
         _require_keys(
             self.fusion_options, self.FUSION_OPTION_KEYS, "EngineSpec.fusion_options"
         )
@@ -390,8 +375,6 @@ class EngineSpec:
             "time_budget": self.time_budget,
             "executor": self.executor,
         }
-        if self.kernel_backend is not None:
-            data["kernel_backend"] = self.kernel_backend
         if self.fusion_options:
             data["fusion_options"] = dict(self.fusion_options)
         return data
@@ -406,7 +389,7 @@ class EngineSpec:
                 "batch_size",
                 "time_budget",
                 "executor",
-                "kernel_backend",
+                "kernel_backend",  # legacy key, accepted and dropped
                 "fusion_options",
             ),
             "EngineSpec",
@@ -417,7 +400,6 @@ class EngineSpec:
             batch_size=data.get("batch_size", 64),
             time_budget=data.get("time_budget"),
             executor=data.get("executor", "thread"),
-            kernel_backend=data.get("kernel_backend"),
             fusion_options=dict(data.get("fusion_options") or {}),
         )
 

@@ -78,12 +78,10 @@ from repro.io_utils import atomic_write_json, atomic_write_text
 
 #: ``EngineSpec`` keys that steer execution but cannot change the payload
 #: (see the determinism notes in :mod:`repro.engine.engine`); they are
-#: excluded from the spec fingerprint.  ``kernel_backend`` qualifies because
-#: every evaluation backend is bit-identical (enforced by the kernel parity
-#: tests), so a numpy and a numba run of one spec share a store entry.
-#: ``fusion_options`` qualifies because the frontier alignment search only
-#: tunes how hard the scheduler looks, never the meaning of the workload.
-EXECUTION_ONLY_ENGINE_KEYS = ("jobs", "executor", "cache", "kernel_backend", "fusion_options")
+#: excluded from the spec fingerprint.  ``fusion_options`` qualifies because
+#: the frontier alignment search only tunes how hard the scheduler looks,
+#: never the meaning of the workload.
+EXECUTION_ONLY_ENGINE_KEYS = ("jobs", "executor", "cache", "fusion_options")
 
 #: On-disk layout version written to the ``store.json`` meta file.
 STORE_LAYOUT_VERSION = 2

@@ -19,8 +19,6 @@ It also hosts the two knobs shared by all search baselines:
   candidates, same winner, same sample/evaluation counters), which is why
   ``eval_batch_size`` deliberately does *not* enter the config fingerprint
   of budget-free runs: cache entries stay shareable across batch sizes.
-  When numpy is missing the schedulers silently fall back to the scalar
-  path.
 * **Wall-clock budget** (``time_budget_seconds``): the search stops once the
   budget is exhausted, regardless of how many iterations remain, so
   time-to-solution comparisons are apples-to-apples.  A budget-capped
@@ -40,9 +38,8 @@ from repro.digest import canonical_json, stable_seed32
 from repro.engine.outcome import ScheduleOutcome
 from repro.mapping.mapping import Mapping
 from repro.mapping.space import MappingDraws
-from repro.model.batch import HAVE_NUMPY, BatchCostModel, MappingBatch
+from repro.model.batch import BatchCostModel
 from repro.model.cost import CostResult
-from repro.model.kernels import CompiledCostModel, resolve_backend
 from repro.workloads.layer import Layer
 
 
@@ -106,13 +103,6 @@ class SearchScheduler:
     time_budget_seconds:
         Optional wall-clock budget per layer; the search stops at the first
         check point after the budget expires.  ``None`` means unbounded.
-    kernel_backend:
-        ``"numpy"`` (default) or ``"numba"`` evaluate batches through the
-        compiled per-(problem, arch) kernels of :mod:`repro.model.kernels`;
-        ``"off"`` keeps the un-compiled :class:`BatchCostModel`.  ``None``
-        reads the ``REPRO_KERNEL_BACKEND`` environment variable.  All
-        backends are bit-identical, so like ``eval_batch_size`` the knob
-        only enters the fingerprint of budget-capped runs.
     """
 
     #: Supported optimisation metrics.
@@ -126,7 +116,6 @@ class SearchScheduler:
         metric: str = "latency",
         eval_batch_size: int | None = None,
         time_budget_seconds: float | None = None,
-        kernel_backend: str | None = None,
     ):
         if metric not in self.METRICS:
             raise ValueError(f"unknown metric {metric!r}; expected one of {self.METRICS}")
@@ -137,8 +126,7 @@ class SearchScheduler:
         self.metric = metric
         self.eval_batch_size = eval_batch_size
         self.time_budget_seconds = time_budget_seconds
-        self.kernel_backend = resolve_backend(kernel_backend)
-        self._batch_model_cache: BatchCostModel | CompiledCostModel | None = None
+        self._batch_model_cache: BatchCostModel | None = None
 
     def score(self, cost: CostResult) -> float:
         """Scalar to minimise for a cost result (``inf`` for invalid mappings)."""
@@ -154,17 +142,12 @@ class SearchScheduler:
     @property
     def batching_enabled(self) -> bool:
         """True when candidates will be evaluated with the vectorized model."""
-        return bool(self.eval_batch_size and self.eval_batch_size > 1 and HAVE_NUMPY)
+        return bool(self.eval_batch_size and self.eval_batch_size > 1)
 
-    def _batch_model(self) -> BatchCostModel | CompiledCostModel:
-        """The vectorized evaluator: compiled kernels unless backend ``"off"``."""
+    def _batch_model(self) -> BatchCostModel:
+        """The vectorized evaluator (built on first use)."""
         if self._batch_model_cache is None:
-            if self.kernel_backend == "off":
-                self._batch_model_cache = BatchCostModel(self.accelerator)
-            else:
-                self._batch_model_cache = CompiledCostModel(
-                    self.accelerator, backend=self.kernel_backend
-                )
+            self._batch_model_cache = BatchCostModel(self.accelerator)
         return self._batch_model_cache
 
     def _scored(self, candidates: Iterable[Mapping]) -> Iterator[tuple[Mapping, bool, float]]:
@@ -196,11 +179,7 @@ class SearchScheduler:
         the caller via :meth:`MappingDraws.materialize`.
         """
         if self.batching_enabled and len(draws) > 1:
-            model = self._batch_model()
-            if hasattr(model, "evaluate_draws"):
-                result = model.evaluate_draws(draws)
-            else:
-                result = model.evaluate_batch(MappingBatch.from_draws(draws))
+            result = self._batch_model().evaluate_draws(draws)
             return result.valid, result.score(self.metric)
         valid, scores = [], []
         for mapping in draws.iter_mappings():
@@ -237,7 +216,8 @@ class SearchScheduler:
         if self.time_budget_seconds is not None:
             config["time_budget_seconds"] = self.time_budget_seconds
             config["eval_batch_size"] = self.eval_batch_size
-            config["kernel_backend"] = self.kernel_backend
+            # Legacy key of the removed backend knob: keeps stored budget-capped entries hitting.
+            config["kernel_backend"] = "numpy"
         return config
 
     def config_fingerprint(self) -> str:

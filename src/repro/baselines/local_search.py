@@ -88,7 +88,7 @@ class LocalSearchScheduler(SearchScheduler):
         Cost proposals incrementally (default) or by full re-evaluation.
         Both are bit-identical (enforced by the parity tests), so this knob
         never changes the outcome and stays out of the fingerprint.
-    eval_batch_size / time_budget_seconds / kernel_backend:
+    eval_batch_size / time_budget_seconds:
         See :class:`~repro.baselines.base.SearchScheduler`; they affect the
         initial sampling phase exactly as in the other baselines.
     """
@@ -111,13 +111,11 @@ class LocalSearchScheduler(SearchScheduler):
         use_delta: bool = True,
         eval_batch_size: int | None = None,
         time_budget_seconds: float | None = None,
-        kernel_backend: str | None = None,
     ):
         super().__init__(
             metric,
             eval_batch_size=eval_batch_size,
             time_budget_seconds=time_budget_seconds,
-            kernel_backend=kernel_backend,
         )
         if max_evaluations < 1:
             raise ValueError(f"max_evaluations must be >= 1, got {max_evaluations}")

@@ -58,13 +58,11 @@ class RandomScheduler(SearchScheduler):
         seed: int = 0,
         eval_batch_size: int | None = None,
         time_budget_seconds: float | None = None,
-        kernel_backend: str | None = None,
     ):
         super().__init__(
             metric,
             eval_batch_size=eval_batch_size,
             time_budget_seconds=time_budget_seconds,
-            kernel_backend=kernel_backend,
         )
         self.accelerator = accelerator
         self.num_valid = num_valid

@@ -63,13 +63,11 @@ class TVMLikeTuner(SearchScheduler):
         seed: int = 0,
         eval_batch_size: int | None = None,
         time_budget_seconds: float | None = None,
-        kernel_backend: str | None = None,
     ):
         super().__init__(
             metric,
             eval_batch_size=eval_batch_size,
             time_budget_seconds=time_budget_seconds,
-            kernel_backend=kernel_backend,
         )
         if trials < 1 or batch_size < 1:
             raise ValueError("trials and batch_size must be positive")

@@ -325,11 +325,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "--time-budget", type=float, default=None, metavar="SECONDS",
         help="per-layer wall-clock budget for the search baselines",
     )
-    parser.add_argument(
-        "--kernel-backend", default=None, choices=("numpy", "numba", "off"),
-        help="evaluation-kernel backend for the search baselines "
-        "(default: compiled numpy kernels; all backends are bit-identical)",
-    )
 
 
 def _add_fusion_arguments(parser: argparse.ArgumentParser) -> None:
@@ -393,7 +388,6 @@ def _engine_spec(args) -> EngineSpec:
         cache=args.cache,
         batch_size=args.batch_size,
         time_budget=args.time_budget,
-        kernel_backend=args.kernel_backend,
     )
 
 
@@ -851,6 +845,8 @@ def _serve(args) -> int:
 
 
 def _worker(args) -> int:
+    import threading
+
     from repro.fabric.worker import FabricWorker
 
     log = (lambda message: None) if args.quiet else (lambda message: print(message, flush=True))
@@ -866,12 +862,17 @@ def _worker(args) -> int:
 
     # SIGTERM/SIGINT: stop claiming, let the in-flight lease finish (the
     # drain default), flush the event log, exit 0.  A second signal raises
-    # and kills the process the hard way.
+    # and kills the process the hard way.  The handler can interrupt the run
+    # loop inside ``Event.wait`` while it holds the event's lock, so the stop
+    # request is made from a helper thread, never from the handler itself.
+    def request_stop(signum):
+        log(f"worker {worker.worker_id}: draining (signal {signum})")
+        worker.stop()
+
     def on_signal(signum, frame):
         if worker.stopping:
             raise KeyboardInterrupt
-        log(f"worker {worker.worker_id}: draining (signal {signum})")
-        worker.stop()
+        threading.Thread(target=request_stop, args=(signum,)).start()
 
     _install_signal_handlers(on_signal)
     try:
@@ -959,29 +960,25 @@ def _bench(args) -> int:
     from repro.io_utils import atomic_write_json
 
     fusion = args.preset == FUSION_PRESET
-    try:
-        if fusion:
-            report = fused_bench_report(
-                fusion_bench_groups(),
-                args.samples,
-                args.seed,
-                arch=architectures.create(args.arch),
-                label=args.preset,
-                progress=None if args.json else (lambda row: print(render_fused_row(row))),
-            )
-        else:
-            report = bench_report(
-                preset_layers(args.preset),
-                args.samples,
-                args.seed,
-                arch=architectures.create(args.arch),
-                num_moves=args.moves,
-                label=args.preset,
-                progress=None if args.json else (lambda row: print(render_row(row))),
-            )
-    except RuntimeError as error:  # no numpy: nothing to measure
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    if fusion:
+        report = fused_bench_report(
+            fusion_bench_groups(),
+            args.samples,
+            args.seed,
+            arch=architectures.create(args.arch),
+            label=args.preset,
+            progress=None if args.json else (lambda row: print(render_fused_row(row))),
+        )
+    else:
+        report = bench_report(
+            preset_layers(args.preset),
+            args.samples,
+            args.seed,
+            arch=architectures.create(args.arch),
+            num_moves=args.moves,
+            label=args.preset,
+            progress=None if args.json else (lambda row: print(render_row(row))),
+        )
     if args.out:
         atomic_write_json(args.out, report)
     if args.json:

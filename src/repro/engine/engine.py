@@ -227,13 +227,6 @@ class SchedulingEngine:
         scheduler itself instead); this also keeps the override free of
         fingerprint-changing side effects on schedulers shared between
         engines.
-    kernel_backend:
-        Evaluation-kernel backend pushed onto schedulers that support
-        compiled batched evaluation (see
-        :mod:`repro.model.kernels`).  Like ``batch_size`` it is
-        outcome-invariant — every backend is bit-identical — so it never
-        keys the cache of budget-free schedulers, and overriding it on a
-        budget-capped scheduler is refused for the same reason.
     """
 
     def __init__(
@@ -242,7 +235,6 @@ class SchedulingEngine:
         cache: MappingCache | None = None,
         evaluate_metrics: bool = True,
         batch_size: int | None = None,
-        kernel_backend: str | None = None,
     ):
         if not isinstance(scheduler, Scheduler):
             raise TypeError(
@@ -263,25 +255,6 @@ class SchedulingEngine:
                         "eval_batch_size instead"
                     )
                 scheduler.eval_batch_size = batch_size
-        if kernel_backend is not None:
-            from repro.model.kernels import resolve_backend
-
-            resolved = resolve_backend(kernel_backend)
-            if hasattr(scheduler, "kernel_backend"):
-                if (
-                    getattr(scheduler, "time_budget_seconds", None) is not None
-                    and scheduler.kernel_backend != resolved
-                ):
-                    raise ValueError(
-                        "cannot override kernel_backend of a budget-capped scheduler "
-                        "(it keys the mapping cache); construct the scheduler with "
-                        "kernel_backend instead"
-                    )
-                scheduler.kernel_backend = resolved
-                # Drop a previously built evaluator so the new backend takes
-                # effect on schedulers reused across engines.
-                if hasattr(scheduler, "_batch_model_cache"):
-                    scheduler._batch_model_cache = None
         self.scheduler = scheduler
         self.cache = cache
         self.evaluate_metrics = evaluate_metrics

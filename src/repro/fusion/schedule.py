@@ -13,8 +13,8 @@ group is scheduled *as one unit*:
    producer and consumer stream the intermediate tile-by-tile.  The search
    enumerates the whole divisor *frontier* (every per-class outer-target
    combination, capped by ``fusion_options["max_candidates"]``), re-tiles
-   the candidates, prices them in **one batched/compiled fused evaluation**
-   (:mod:`repro.model.fused_batch` / ``compile_fused``), and keeps the
+   the candidates, prices them in **one batched fused evaluation**
+   (:mod:`repro.model.fused_batch`), and keeps the
    fully-pinned candidate with the lowest DRAM traffic (EDP breaks ties).
 3. **Group cache** — retiled outcomes are stored under per-group cache keys
    (the plain key extended with the group fingerprint and the operator's
@@ -263,48 +263,25 @@ def _frontier_combos(caps, starts, max_candidates: int) -> list[tuple[int, ...]]
     return combos
 
 
-def _select_candidate(engine, group: FusionGroup, candidates, fused_model: FusedCostModel):
+def _select_candidate(engine, group: FusionGroup, candidates):
     """Index of the best fully-pinned candidate, or ``None``.
 
-    Every candidate group tiling is priced in **one** fused evaluation —
-    compiled when a kernel backend is in play, plain batched otherwise, and
-    a memoized scalar loop on numpy-less installs (all three agree
-    bit-for-bit, so the choice never changes the winner).  Candidates are
+    Every candidate group tiling is priced in **one** batched fused
+    evaluation, bit-for-bit equal to the scalar oracle.  Candidates are
     ranked by ``(dram_words, edp, index)``.
     """
-    from repro.model.batch import HAVE_NUMPY
+    from repro.model.fused_batch import BatchFusedCostModel, FusedMappingBatch
 
-    num_edges = len(group.edges)
+    fused_batch = FusedMappingBatch.from_candidates(group, candidates)
+    result = BatchFusedCostModel(engine.scheduler.accelerator).evaluate_group(fused_batch)
+    eligible = result.valid & result.all_pinned
+    words, edp = result.dram_words, result.edp
     best_index = None
     best_key = None
-    if HAVE_NUMPY:
-        from repro.model.fused_batch import BatchFusedCostModel, FusedMappingBatch
-        from repro.model.kernels import compile_fused, resolve_backend
-
-        accelerator = engine.scheduler.accelerator
-        fused_batch = FusedMappingBatch.from_candidates(group, candidates)
-        backend = getattr(engine, "kernel_backend", None)
-        if resolve_backend(backend) == "off":
-            result = BatchFusedCostModel(accelerator).evaluate_group(fused_batch)
-        else:
-            result = compile_fused(group, accelerator, backend=backend).evaluate_group(
-                fused_batch
-            )
-        eligible = result.valid & result.all_pinned
-        words, edp = result.dram_words, result.edp
-        for index in range(len(candidates)):
-            if not eligible[index]:
-                continue
-            key = (float(words[index]), float(edp[index]))
-            if best_key is None or key < best_key:
-                best_key, best_index = key, index
-        return best_index
-
-    for index, candidate in enumerate(candidates):
-        cost = fused_model.evaluate_group(group, candidate)
-        if not (cost.valid and cost.num_pinned_edges == num_edges):
+    for index in range(len(candidates)):
+        if not eligible[index]:
             continue
-        key = (cost.dram_words, cost.edp)
+        key = (float(words[index]), float(edp[index]))
         if best_key is None or key < best_key:
             best_key, best_index = key, index
     return best_index
@@ -387,7 +364,7 @@ def _align_group(
     if not candidates:
         return best
 
-    winner = _select_candidate(engine, group, candidates, fused_model)
+    winner = _select_candidate(engine, group, candidates)
     if winner is None:
         return best
     mappings = candidates[winner]

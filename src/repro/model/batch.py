@@ -14,10 +14,16 @@ operations instead:
   (``loop_level/loop_dim/loop_bound[B, M]``) that the stationarity rules
   need.  Batches are built from :class:`~repro.mapping.space.MappingDraws`
   (no :class:`~repro.mapping.mapping.Mapping` objects are created) or from
-  existing mappings.
+  existing mappings, with flat index lists and one fancy-index scatter per
+  array.
+* :class:`CompiledKernel` — the cost equations specialized once for one
+  (tensor problem, architecture) pair: bounds gathers, relevance and
+  projection tables, boundary-flow structure and energy coefficients are
+  baked in, so an evaluation runs only array arithmetic.  Kernels are cached
+  process wide under the ``(problem fingerprint, arch fingerprint)`` key.
 * :class:`BatchCostModel` — validates and evaluates every candidate of a
-  batch at once, producing per-candidate ``valid``/``latency``/``energy``
-  arrays.
+  batch at once through the cached kernel of the batch's problem, producing
+  per-candidate ``valid``/``latency``/``energy`` arrays.
 
 Equivalence with the scalar model
 ---------------------------------
@@ -26,50 +32,34 @@ the same equations over a batch axis and mirrors the scalar code's exact
 floating-point expression structure (association order of products, order of
 accumulation over boundary flows, tensors and levels) so results agree
 bit-for-bit wherever intermediate values are exactly representable, and to
-within 1e-9 relative everywhere else.  ``tests/test_batch_parity.py`` locks
-the two paths together; ``docs/cost_model.md`` maps every scalar method to
-its vectorized counterpart.
-
-numpy is an optional dependency of this module: when it is unavailable
-(:data:`HAVE_NUMPY` is ``False``) the schedulers silently fall back to the
-scalar path.
+within 1e-9 relative everywhere else.  The one structural change is the
+stationarity walk: instead of multiplying one loop position at a time, the
+kernel reduces ``where(counted, bound, 1)`` along the loop axis;
+``multiply.reduce`` traverses the axis in the same sequential order and every
+intermediate is an exactly-representable integer product, so the result is
+bit-identical.  ``tests/test_batch_parity.py`` and ``tests/test_kernels.py``
+lock the two paths together; ``docs/cost_model.md`` maps every scalar method
+to its vectorized counterpart.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-try:  # pragma: no cover - exercised implicitly on numpy-less installs
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+import numpy as np
 
 from repro.arch.accelerator import Accelerator
 from repro.mapping.mapping import Mapping
-from repro.workloads.layer import DIMENSION_NAMES, Layer, TensorKind
+from repro.workloads.layer import Layer, TensorKind
 from repro.workloads.problem import TensorProblem
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mapping.space import MappingDraws
 
-#: Column index of each conv layer dimension in the factor matrices (kept for
-#: backward compatibility; the general per-problem index lives on
-#: :class:`_ProblemTables`).
-DIM_INDEX: dict[str, int] = {dim: i for i, dim in enumerate(DIMENSION_NAMES)}
-
 #: Padding sentinel used in the flattened loop arrays.
 PAD = -1
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:
-        raise RuntimeError(
-            "repro.model.batch requires numpy; install it or use the scalar CostModel"
-        )
 
 
 class MappingBatch:
@@ -121,16 +111,19 @@ class MappingBatch:
     # ------------------------------------------------------------ construction
     @classmethod
     def from_draws(cls, draws: "MappingDraws") -> "MappingBatch":
-        """Pack sampled factor placements (no ``Mapping`` objects involved)."""
-        _require_numpy()
-        return cls._from_level_loops(
-            draws.layer, draws.num_levels, draws.temporal, draws.spatial, source=draws
+        """Pack sampled factor placements (no ``Mapping`` objects involved).
+
+        Draws merge their loops per (level, dimension), so the factor
+        matrices are filled by plain assignment.
+        """
+        return cls._pack(
+            draws.layer, draws.num_levels, draws.temporal, draws.spatial,
+            source=draws, merged=True,
         )
 
     @classmethod
     def from_mappings(cls, mappings: Sequence[Mapping]) -> "MappingBatch":
         """Pack existing mappings (all of one layer, with equal level counts)."""
-        _require_numpy()
         if not mappings:
             raise ValueError("cannot build a batch from zero mappings")
         layer = mappings[0].layer
@@ -148,36 +141,68 @@ class MappingBatch:
             [[(loop.dim, loop.bound) for loop in level.spatial] for level in mapping.levels]
             for mapping in mappings
         ]
-        return cls._from_level_loops(layer, num_levels, temporal, spatial, source=list(mappings))
+        return cls._pack(layer, num_levels, temporal, spatial, source=list(mappings), merged=False)
 
     @classmethod
-    def _from_level_loops(cls, layer, num_levels, temporal_loops, spatial_loops, source):
+    def _pack(cls, layer, num_levels, temporal_loops, spatial_loops, source, merged: bool):
+        """Scatter ``[candidate][level][(dim, bound)]`` loop lists into arrays.
+
+        The flattened loop order is level-major within each candidate, so
+        the (candidate, position, level) index columns are pure arithmetic
+        over the per-(candidate, level) loop counts — only the dimension ids
+        and bounds need the Python walk, which runs once per loop and keeps
+        its body to two appends.  ``merged`` candidates hold at most one
+        loop per (level, dimension), so the factor matrices take plain
+        assignment; otherwise repeated loops are multiplied in order, like
+        the scalar walk.
+        """
         size = len(temporal_loops)
+        L = num_levels
         dim_index = {dim: i for i, dim in enumerate(layer.problem.dims)}
         D = len(dim_index)
-        tf = np.ones((size, num_levels, D), dtype=np.float64)
-        sf = np.ones((size, num_levels, D), dtype=np.float64)
-        max_loops = 1
-        for levels in temporal_loops:
-            total = sum(len(loops) for loops in levels)
-            if total > max_loops:
-                max_loops = total
+
+        def flatten(per_candidate):
+            counts: list[int] = []
+            dims: list[int] = []
+            bounds: list[int] = []
+            add_count, add_dim, add_bound = counts.append, dims.append, bounds.append
+            for candidate in per_candidate:
+                for loops in candidate:
+                    add_count(len(loops))
+                    for dim, bound in loops:
+                        add_dim(dim_index[dim])
+                        add_bound(bound)
+            per_level = np.array(counts, dtype=np.int64)
+            per_row = per_level.reshape(size, L).sum(axis=1)
+            rows = np.repeat(np.arange(size, dtype=np.int64), per_row)
+            levels = np.repeat(level_ids, per_level)
+            return per_row, rows, levels, np.array(dims, dtype=np.int64), np.array(bounds, dtype=np.float64)
+
+        def scatter(factors, rows, levels, dims, bounds):
+            if merged:
+                factors[rows, levels, dims] = bounds
+            else:
+                np.multiply.at(factors, (rows, levels, dims), bounds)
+
+        level_ids = np.tile(np.arange(L, dtype=np.int64), size)
+        per_row, rows, levels, dims, bounds = flatten(temporal_loops)
+        max_loops = max(int(per_row.max(initial=0)), 1)
+
+        tf = np.ones((size, L, D), dtype=np.float64)
+        sf = np.ones((size, L, D), dtype=np.float64)
         loop_level = np.full((size, max_loops), PAD, dtype=np.int64)
         loop_dim = np.full((size, max_loops), PAD, dtype=np.int64)
         loop_bound = np.ones((size, max_loops), dtype=np.float64)
-        for b in range(size):
-            cursor = 0
-            for level_index, loops in enumerate(temporal_loops[b]):
-                for dim, bound in loops:
-                    d = dim_index[dim]
-                    tf[b, level_index, d] *= bound
-                    loop_level[b, cursor] = level_index
-                    loop_dim[b, cursor] = d
-                    loop_bound[b, cursor] = bound
-                    cursor += 1
-            for level_index, loops in enumerate(spatial_loops[b]):
-                for dim, bound in loops:
-                    sf[b, level_index, dim_index[dim]] *= bound
+        if len(dims):
+            starts = np.concatenate([[0], np.cumsum(per_row)[:-1]])
+            cols = np.arange(len(rows), dtype=np.int64) - np.repeat(starts, per_row)
+            scatter(tf, rows, levels, dims, bounds)
+            loop_level[rows, cols] = levels
+            loop_dim[rows, cols] = dims
+            loop_bound[rows, cols] = bounds
+        _, rows, levels, dims, bounds = flatten(spatial_loops)
+        if len(dims):
+            scatter(sf, rows, levels, dims, bounds)
         return cls(layer, tf, sf, loop_level, loop_dim, loop_bound, source=source)
 
     # ----------------------------------------------------------- materialization
@@ -192,50 +217,6 @@ class MappingBatch:
         if isinstance(self._source, list):
             return self._source[index]
         return self._source.materialize(index)
-
-
-class _ProblemTables:
-    """Problem-dependent constants of the vectorized model.
-
-    One instance per :class:`~repro.workloads.problem.TensorProblem` (cached
-    on the :class:`BatchCostModel`): the dimension index of the factor
-    matrices, the ``bool[D, T]`` relevance matrix derived from the projection
-    tables, the per-tensor irrelevant-dimension masks used by the multicast /
-    spatial-reduction factors, and the reduction-dimension index list.
-    """
-
-    def __init__(self, problem: TensorProblem):
-        self.problem = problem
-        self.dims = problem.dims
-        self.dim_index = {dim: i for i, dim in enumerate(problem.dims)}
-        rel = np.zeros((len(problem.dims), len(TensorKind)), dtype=bool)
-        for dim in problem.dims:
-            for tensor in TensorKind:
-                rel[self.dim_index[dim], int(tensor)] = problem.relevance(dim, tensor)
-        self.rel = rel
-        self.irrelevant_dims = {tensor: ~rel[:, int(tensor)] for tensor in TensorKind}
-        self.reduction_dim_indices = np.array(
-            [self.dim_index[dim] for dim in problem.reduction_dims], dtype=np.int64
-        )
-
-    def tiles(self, f: dict, stride: float) -> dict:
-        """Per-tensor footprint matrices from the projection tables.
-
-        ``f`` maps dimension name to its ``[B, L]`` footprint matrix.
-        :meth:`TensorProblem.footprint` multiplies the terms left-associated
-        in projection order — the exact float expression structure of the
-        scalar model, so conv results stay bit-for-bit identical to the
-        historic hardcoded formulas.
-        """
-        tiles = {}
-        for tensor in TensorKind:
-            value = self.problem.footprint(tensor, f, stride)
-            if len(self.problem.projection(tensor)) == 1:
-                # A single plain-dim term aliases the footprint matrix; the
-                # caller mutates tiles in place, so detach the view.
-                value = value.copy()
-            tiles[tensor] = value
-        return tiles
 
 
 @dataclass
@@ -317,38 +298,54 @@ class BatchCostResult:
         raise ValueError(f"unknown metric {metric!r}")
 
 
-class BatchCostModel:
-    """Evaluate batches of mappings of one architecture with numpy.
+class CompiledKernel:
+    """The cost equations of one (problem, architecture) pair.
 
-    The constructor precomputes every architecture-dependent constant (level
-    capacities, bandwidths, tensor bindings, storage-level pairs of the
-    boundary flows, energy constants) so :meth:`evaluate_batch` only runs
-    array arithmetic.
+    Built and cached by :meth:`BatchCostModel.kernel_for` (never directly)
+    and immutable after construction: every problem- and
+    architecture-dependent constant — bounds gathers, relevance tables,
+    boundary-flow structure, energy coefficients — is baked in, so
+    :meth:`evaluate` runs only array arithmetic over per-candidate data.
     """
 
-    def __init__(self, accelerator: Accelerator):
-        _require_numpy()
+    def __init__(self, problem: TensorProblem, accelerator: Accelerator):
+        start = time.perf_counter()
+        self.problem = problem
         self.accelerator = accelerator
+
         hierarchy = accelerator.hierarchy
         self.num_levels = len(hierarchy)
         self.dram_index = hierarchy.dram_index
         self.pe_level = accelerator.pe_level_index()
-        #: Problem-dependent constants, computed once per tensor problem.
-        self._problem_tables: dict[str, _ProblemTables] = {}
-        # Per-level constants.
-        self._fanout = np.array([level.spatial_fanout for level in hierarchy], dtype=np.float64)
+
+        # Problem tables: factor-matrix column of each dimension, the
+        # bool[D, T] relevance matrix of the projections, the per-tensor
+        # irrelevant-dimension masks of the multicast / spatial-reduction
+        # factors, and the reduction-dimension mask.
+        self.dim_index = {dim: i for i, dim in enumerate(problem.dims)}
+        self.num_dims = len(problem.dims)
+        rel = np.zeros((self.num_dims, len(TensorKind)), dtype=bool)
+        for dim, d in self.dim_index.items():
+            for tensor in TensorKind:
+                rel[d, int(tensor)] = problem.relevance(dim, tensor)
+        self._rel = rel
+        self._irrelevant_dims = {tensor: ~rel[:, int(tensor)] for tensor in TensorKind}
+        is_reduction = np.zeros(self.num_dims, dtype=bool)
+        is_reduction[[self.dim_index[dim] for dim in problem.reduction_dims]] = True
+        self._is_reduction_dim = is_reduction
+
+        # Per-level architecture constants.
+        self._fanout = np.array([lvl.spatial_fanout for lvl in hierarchy], dtype=np.float64)
         self._capacity = np.array(
-            [
-                np.inf if level.is_unbounded else float(level.capacity_bytes)
-                for level in hierarchy
-            ],
+            [np.inf if lvl.is_unbounded else float(lvl.capacity_bytes) for lvl in hierarchy],
             dtype=np.float64,
         )
-        self._bandwidth = [level.bandwidth_words_per_cycle for level in hierarchy]
-        self._bytes = {tensor: float(accelerator.precision.bytes_for(tensor)) for tensor in TensorKind}
+        self._bandwidth = np.array(
+            [lvl.bandwidth_words_per_cycle for lvl in hierarchy], dtype=np.float64
+        )
+        self._bytes = {t: float(accelerator.precision.bytes_for(t)) for t in TensorKind}
         self._holds = {
-            tensor: np.array([level.holds(tensor) for level in hierarchy], dtype=bool)
-            for tensor in TensorKind
+            t: np.array([lvl.holds(t) for lvl in hierarchy], dtype=bool) for t in TensorKind
         }
         # Boundary-flow structure: (tensor, child, parent) pairs are a pure
         # function of the architecture, in the same order NestAnalysis
@@ -358,81 +355,104 @@ class BatchCostModel:
             levels = hierarchy.levels_holding(tensor)
             for child, parent in zip(levels, levels[1:]):
                 self._flow_pairs.append((tensor, child, parent))
-        self._innermost = {tensor: hierarchy.innermost_level_for(tensor) for tensor in TensorKind}
+        self._children = sorted({child for _, child, _ in self._flow_pairs})
+        self._tensors_at_child = {
+            child: [t for t in TensorKind if any(c == child and ft is t for ft, c, _ in self._flow_pairs)]
+            for child in self._children
+        }
+        self._innermost = {t: hierarchy.innermost_level_for(t) for t in TensorKind}
         self._multicast = accelerator.noc.multicast
-        # Energy constants.
         table = accelerator.energy
-        self._level_energy_pj = [table.access_energy(level.name) for level in hierarchy]
+        self._level_energy_pj = [table.access_energy(lvl.name) for lvl in hierarchy]
         self._mac_pj = table.mac_energy_pj
         self._hop_pj = table.noc_hop_energy_pj
         rows, cols = accelerator.pe_array.rows, accelerator.pe_array.cols
         self._average_hops = (rows + cols) / 2.0
         self._total_lanes = accelerator.pe_array.num_pes * accelerator.pe_array.macs_per_pe
 
-    # ------------------------------------------------------------------ helpers
-    def _tables(self, problem: TensorProblem) -> _ProblemTables:
-        """The cached problem-dependent constant tables for ``problem``."""
-        tables = self._problem_tables.get(problem.name)
-        if tables is None or tables.problem != problem:
-            tables = _ProblemTables(problem)
-            self._problem_tables[problem.name] = tables
-        return tables
+        #: Per-layer constants (bounds vector, tensor volumes, macs), cached
+        #: because a search evaluates thousands of batches of one layer.
+        self._layer_consts: dict = {}
+        self.build_seconds = time.perf_counter() - start
 
-    def _refetch_and_pending(self, batch: MappingBatch, tables: _ProblemTables):
+    # ------------------------------------------------------------------ layers
+    def _consts(self, layer):
+        """Cached per-layer constants: bounds vector, volumes, macs, stride."""
+        consts = self._layer_consts.get(layer)
+        if consts is None:
+            layer_bounds = layer.bounds
+            consts = (
+                np.array([layer_bounds[d] for d in self.problem.dims], dtype=np.float64),
+                {t: float(layer.tensor_volume(t)) for t in TensorKind},
+                float(layer.macs),
+                float(layer.stride),
+            )
+            self._layer_consts[layer] = consts
+        return consts
+
+    def _tiles(self, footprint, stride: float) -> dict:
+        """Per-tensor ``[B, L]`` tile matrices from the projection tables.
+
+        :meth:`TensorProblem.footprint` multiplies the terms left-associated
+        in projection order — the exact float expression structure of the
+        scalar model, so conv results stay bit-for-bit identical to the
+        historic hardcoded formulas.
+        """
+        f = {dim: footprint[:, :, d] for dim, d in self.dim_index.items()}
+        tiles = {}
+        for tensor in TensorKind:
+            tile = self.problem.footprint(tensor, f, stride)
+            if len(self.problem.projection(tensor)) == 1:
+                # A single plain-dim term aliases the footprint matrix; the
+                # caller mutates tiles in place, so detach the view.
+                tile = tile.copy()
+            tiles[tensor] = tile
+        return tiles
+
+    # ------------------------------------------------------------- stationarity
+    def _refetch_and_pending(self, batch: MappingBatch):
         """Per-candidate re-fetch factors and pending-reduction flags.
 
         Returns ``refetch[(tensor, child)] -> float64[B]`` for every boundary
         flow plus ``pending[child] -> bool[B]`` for the output flows.  The
         walk is the scalar stationarity rule vectorized: within the loop
         sequence restricted to levels ``>= child``, every loop at-or-outside
-        the innermost tensor-relevant loop contributes its bound.  The
-        product is accumulated loop-by-loop (sequential, like the scalar
-        walk) so the float rounding matches the oracle exactly.
+        the innermost tensor-relevant loop contributes its bound — one masked
+        row product per (tensor, child), sequential along the loop axis like
+        the scalar walk.
         """
-        level = batch.loop_level  # [B, M]
+        level = batch.loop_level
         dim = batch.loop_dim
         bound = batch.loop_bound
-        B, M = level.shape
+        B = level.shape[0]
         present = dim >= 0
         dim_safe = np.where(present, dim, 0)
-        rel = tables.rel[dim_safe]  # [B, M, T]
-        is_reduction = np.isin(dim_safe, tables.reduction_dim_indices) & present
+        rel = self._rel[dim_safe]  # [B, M, T]
+        is_reduction = self._is_reduction_dim[dim_safe] & present
 
         refetch: dict[tuple[TensorKind, int], np.ndarray] = {}
         pending: dict[int, np.ndarray] = {}
-        children = sorted({child for _, child, _ in self._flow_pairs})
-        for child in children:
+        for child in self._children:
             mask = (level >= child) & present  # loops_above(child)
-            for tensor in TensorKind:
-                if not any(c == child and t is tensor for t, c, _ in self._flow_pairs):
-                    continue
+            for tensor in self._tensors_at_child[child]:
                 relevant = rel[:, :, int(tensor)] & mask
                 seen = np.logical_or.accumulate(relevant, axis=1)
-                counted = seen & mask
-                factor = np.ones(B, dtype=np.float64)
-                for j in range(M):
-                    factor = factor * np.where(counted[:, j], bound[:, j], 1.0)
-                refetch[(tensor, child)] = factor
+                refetch[(tensor, child)] = np.where(seen & mask, bound, 1.0).prod(axis=1)
             # reduction_pending_above(child): a reduction-dim temporal loop
             # strictly outside the innermost output-relevant loop.
             relevant = rel[:, :, int(TensorKind.OUTPUT)] & mask
             seen = np.logical_or.accumulate(relevant, axis=1)
-            seen_before = np.concatenate(
-                [np.zeros((B, 1), dtype=bool), seen[:, :-1]], axis=1
-            )
+            seen_before = np.concatenate([np.zeros((B, 1), dtype=bool), seen[:, :-1]], axis=1)
             pending[child] = np.any(seen_before & mask & is_reduction, axis=1)
         return refetch, pending
 
-    def _spatial_factor_between(
-        self, sf, child: int, parent: int, tensor: TensorKind, tables: _ProblemTables
-    ):
+    def _spatial_factor_between(self, sf, child: int, parent: int, tensor: TensorKind):
         """Product of tensor-irrelevant spatial factors at levels ``(child, parent]``."""
-        dims = tables.irrelevant_dims[tensor]
-        span = sf[:, child + 1 : parent + 1, :][:, :, dims]
+        span = sf[:, child + 1 : parent + 1, :][:, :, self._irrelevant_dims[tensor]]
         return span.reshape(span.shape[0], -1).prod(axis=1)
 
     # ----------------------------------------------------------------- evaluate
-    def evaluate_batch(self, batch: MappingBatch) -> BatchCostResult:
+    def evaluate(self, batch: MappingBatch) -> BatchCostResult:
         """Validate and evaluate every candidate of ``batch`` at once."""
         result, _ = self._evaluate(batch, want_detail=False)
         return result
@@ -454,12 +474,16 @@ class BatchCostModel:
 
     def _evaluate(self, batch: MappingBatch, want_detail: bool):
         layer = batch.layer
-        tables = self._tables(layer.problem)
+        if layer.problem.name != self.problem.name:
+            raise ValueError(
+                f"kernel compiled for problem {self.problem.name!r} cannot "
+                f"evaluate a {layer.problem.name!r} layer"
+            )
         B = batch.size
         tf, sf = batch.temporal, batch.spatial
-        L, D = self.num_levels, len(tables.dims)
+        L, D = self.num_levels, self.num_dims
 
-        if batch.num_levels != self.num_levels:
+        if batch.num_levels != L:
             inf = np.full(B, np.inf)
             result = BatchCostResult(
                 valid=np.zeros(B, dtype=bool),
@@ -469,8 +493,7 @@ class BatchCostModel:
             )
             return result, None
 
-        layer_bounds = layer.bounds
-        bounds = np.array([layer_bounds[dim] for dim in tables.dims], dtype=np.float64)
+        bounds, volumes, macs, stride = self._consts(layer)
         total = tf * sf  # per-level per-dim factor products
 
         # -------------------------------------------------------- validation
@@ -485,16 +508,12 @@ class BatchCostModel:
         below = np.ones((B, L, D), dtype=np.float64)
         if L > 1:
             below[:, 1:, :] = np.cumprod(total, axis=1)[:, :-1, :]
-        footprint = below * sf
-
-        stride = float(layer.stride)
-        f = {dim: footprint[:, :, tables.dim_index[dim]] for dim in tables.dims}
-        tiles = tables.tiles(f, stride)
+        tiles = self._tiles(below * sf, stride)
         for tensor in TensorKind:
             tile = tiles[tensor]
             tile[:, ~self._holds[tensor]] = 0.0
             if self._holds[tensor][self.dram_index]:
-                tile[:, self.dram_index] = float(layer.tensor_volume(tensor))
+                tile[:, self.dram_index] = volumes[tensor]
 
         # Buffer occupancy (utilization_bytes, summed in TensorKind order).
         used_bytes = np.zeros((B, L), dtype=np.float64)
@@ -505,7 +524,7 @@ class BatchCostModel:
         valid = consistent & fanout_ok & buffers_ok
 
         # --------------------------------------------------- boundary flows
-        refetch, pending = self._refetch_and_pending(batch, tables)
+        refetch, pending = self._refetch_and_pending(batch)
         # active_instances(l): product of spatial factors at levels > l.
         instances = np.ones((B, L), dtype=np.float64)
         if L > 1:
@@ -525,7 +544,7 @@ class BatchCostModel:
             t = int(tensor)
             tile = tiles[tensor][:, child]
             words_into_child = tile * refetch[(tensor, child)] * instances[:, child]
-            raw_lanes = self._spatial_factor_between(sf, child, parent, tensor, tables)
+            raw_lanes = self._spatial_factor_between(sf, child, parent, tensor)
             multicast = raw_lanes if self._multicast else np.ones(B, dtype=np.float64)
             words_read_from_parent = words_into_child / np.maximum(multicast, 1.0)
             words_written_to_parent = np.zeros(B, dtype=np.float64)
@@ -560,32 +579,29 @@ class BatchCostModel:
                 )
 
         # Compute-side accesses at the innermost storing level of each tensor.
-        macs = float(layer.macs)
         for tensor in TensorKind:
             innermost = self._innermost[tensor]
             t = int(tensor)
+            reads[:, innermost, t] += macs
             if tensor is TensorKind.OUTPUT:
-                reads[:, innermost, t] += macs
                 writes[:, innermost, t] += macs
-            else:
-                reads[:, innermost, t] += macs
 
         # ------------------------------------------------------------ latency
+        # max() is order-invariant and each cycles term is the scalar
+        # quotient, so one reduction over levels equals the scalar walk.
         compute_cycles = tf.reshape(B, -1).prod(axis=1)
-        latency = compute_cycles
-        for index in range(L):
-            cycles = words_served[:, index] / (self._bandwidth[index] * instances[:, index])
-            latency = np.maximum(latency, cycles)
+        cycles = words_served / (self._bandwidth * instances)
+        latency = np.maximum(compute_cycles, cycles.max(axis=1))
 
         # ------------------------------------------------------------- energy
+        # accesses[b, l] sums (reads + writes) over the short tensor axis;
+        # numpy reduces a length-3 axis sequentially (no pairwise split), so
+        # the accumulation order matches the scalar TensorKind walk.
         mac_energy = macs * self._mac_pj
+        accesses = (reads + writes).sum(axis=2)
         level_energy_sum = np.zeros(B, dtype=np.float64)
         for index in range(L):
-            accesses = np.zeros(B, dtype=np.float64)
-            for tensor in TensorKind:
-                t = int(tensor)
-                accesses = accesses + (reads[:, index, t] + writes[:, index, t])
-            level_energy_sum = level_energy_sum + accesses * self._level_energy_pj[index]
+            level_energy_sum = level_energy_sum + accesses[:, index] * self._level_energy_pj[index]
         total_noc_words = np.zeros(B, dtype=np.float64)
         for tensor in TensorKind:
             total_noc_words = total_noc_words + noc_words[tensor]
@@ -612,6 +628,66 @@ class BatchCostModel:
             )
         return result, detail
 
+
+# ---------------------------------------------------------------- kernel cache
+#: Process-wide kernel cache keyed by ``(problem fingerprint, arch fingerprint)``.
+_KERNEL_CACHE: dict[tuple[str, str], CompiledKernel] = {}
+_CACHE_STATS = {"hits": 0, "misses": 0}
+
+
+def kernel_cache_info() -> dict:
+    """Hit/miss counters and entry count of the process-wide kernel cache.
+
+    ``fused_misses`` stays 0: the fused path composes the per-operator
+    kernels and compiles nothing of its own.  The key remains because
+    perfbench (``perfbench/worker.py``) counts kernel compiles as
+    ``misses + fused_misses``.
+    """
+    return {**_CACHE_STATS, "entries": len(_KERNEL_CACHE), "fused_misses": 0}
+
+
+def clear_kernel_cache() -> None:
+    """Drop every compiled kernel and reset the counters (tests/benchmarks)."""
+    _KERNEL_CACHE.clear()
+    _CACHE_STATS["hits"] = 0
+    _CACHE_STATS["misses"] = 0
+
+
+class BatchCostModel:
+    """Evaluate batches of mappings of one architecture with numpy.
+
+    Each batch runs through the :class:`CompiledKernel` of its layer's
+    tensor problem, fetched from (or built into) the process-wide cache.
+    """
+
+    def __init__(self, accelerator: Accelerator):
+        self.accelerator = accelerator
+        self._arch_fingerprint = accelerator.fingerprint()
+
+    def kernel_for(self, problem: TensorProblem) -> CompiledKernel:
+        """The cached kernel evaluating ``problem`` layers on this architecture."""
+        key = (problem.fingerprint(), self._arch_fingerprint)
+        kernel = _KERNEL_CACHE.get(key)
+        if kernel is not None and kernel.problem == problem:
+            _CACHE_STATS["hits"] += 1
+            return kernel
+        _CACHE_STATS["misses"] += 1
+        kernel = CompiledKernel(problem, self.accelerator)
+        _KERNEL_CACHE[key] = kernel
+        return kernel
+
+    def evaluate_batch(self, batch: MappingBatch) -> BatchCostResult:
+        """Validate and evaluate every candidate of ``batch`` at once."""
+        return self.kernel_for(batch.layer.problem).evaluate(batch)
+
+    def evaluate_detail(self, batch: MappingBatch) -> BatchEvalDetail:
+        """Evaluate ``batch`` and return the :class:`BatchEvalDetail` view."""
+        return self.kernel_for(batch.layer.problem).evaluate_detail(batch)
+
+    def evaluate_draws(self, draws: "MappingDraws") -> BatchCostResult:
+        """Pack sampled draws and evaluate them."""
+        return self.kernel_for(draws.layer.problem).evaluate(MappingBatch.from_draws(draws))
+
     def evaluate_mappings(self, mappings: Sequence[Mapping]) -> BatchCostResult:
         """Convenience: pack ``mappings`` into a batch and evaluate it."""
-        return self.evaluate_batch(MappingBatch.from_mappings(mappings))
+        return self.evaluate_batch(MappingBatch.from_mappings(list(mappings)))

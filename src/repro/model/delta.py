@@ -19,13 +19,10 @@ and, per move, recomputes **only the dirty terms**:
 The final aggregation over boundary flows is ~a hundred scalar operations
 and is always re-run from the cached terms in the canonical order, which is
 what makes the results **bit-for-bit identical** to the scalar oracle
-(:mod:`repro.model.cost`) and the batched/compiled models: every float
+(:mod:`repro.model.cost`) and the batched model: every float
 expression here mirrors the batched model's association order exactly, and
 ``tests/test_delta_moves.py`` asserts equality with ``==`` after random move
 sequences on every built-in problem.
-
-Unlike the batched path this module is pure Python (no numpy), so the
-local-search scheduler degrades gracefully on numpy-less installs.
 
 Invalid states are not dead ends for the search: the result carries the
 *raw* latency/energy/utilization plus normalized capacity/fanout violation

@@ -1,703 +1,29 @@
-"""Compiled per-(problem, architecture) evaluation kernels.
+"""Former home of the compiled evaluation kernels, kept as plain aliases.
 
-:class:`~repro.model.batch.BatchCostModel` already evaluates whole batches
-with numpy, but every ``evaluate_batch`` call re-derives the problem/arch
-wiring (bounds vectors, relevance gathers, flow masks) and the batch packing
-loop assigns four numpy scalars per drawn loop.  This module moves all of
-that work to **compile time**: :class:`KernelCompiler` takes a
-:class:`~repro.workloads.problem.TensorProblem` plus an
-:class:`~repro.arch.accelerator.Accelerator` and builds a
-:class:`CompiledKernel` — the factor-matrix, footprint and traffic
-expressions specialized once for that pair — which is then cached process
-wide under the ``(problem fingerprint, arch fingerprint, backend)`` key.
-
-The compiled evaluation is *the same float expression* as the batched model
-(which in turn mirrors the scalar oracle in :mod:`repro.model.cost`), so all
-three paths agree bit-for-bit; ``tests/test_kernels.py`` locks them
-together.  The one structural change is the stationarity walk: instead of a
-Python loop multiplying one loop position at a time, the kernel reduces
-``where(counted, bound, 1)`` along the loop axis.  ``multiply.reduce``
-traverses the axis in the same sequential order, and every intermediate is
-an exactly-representable integer product, so the result is bit-identical.
-
-Backends
---------
-The kernel backend is selected per model (``backend=``) or process wide via
-the ``REPRO_KERNEL_BACKEND`` environment variable:
-
-* ``numpy`` (default) — fused numpy expressions.
-* ``numba`` — identical expressions with the innermost reductions jitted
-  when numba is importable; **silently falls back to numpy otherwise**.
-  The backend can only change speed, never results, which is why it is
-  excluded from cache fingerprints exactly like ``eval_batch_size``.
-* ``off`` — recognised at the scheduler level (keep the plain
-  :class:`BatchCostModel`); requesting it from the compiler itself is an
-  error.
+The per-(problem, architecture) kernels now live in
+:mod:`repro.model.batch` (:class:`~repro.model.batch.CompiledKernel`, served
+through :class:`~repro.model.batch.BatchCostModel`) and the fused path in
+:mod:`repro.model.fused_batch`.  The names below resolve to that one
+implementation: perfbench (``perfbench/tracing.py`` and
+``perfbench/worker.py``) looks them up here by name.
 """
 
-from __future__ import annotations
-
-import os
-import time
-
-try:  # pragma: no cover - exercised implicitly on numpy-less installs
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
-from repro.arch.accelerator import Accelerator
 from repro.model.batch import (
-    PAD,
-    BatchCostResult,
-    BatchEvalDetail,
-    DramBoundaryFlowBatch,
-    MappingBatch,
-    _ProblemTables,
+    BatchCostModel,
+    CompiledKernel,
+    clear_kernel_cache,
+    kernel_cache_info,
 )
-from repro.workloads.layer import TensorKind
-from repro.workloads.problem import TensorProblem
+from repro.model.fused_batch import BatchFusedCostModel
+
+# Aliases for perfbench's tracing hooks, not second implementations.
+CompiledCostModel = BatchCostModel
+CompiledFusedKernel = BatchFusedCostModel
 
 __all__ = [
-    "KERNEL_BACKENDS",
-    "resolve_backend",
-    "numba_available",
-    "KernelCompiler",
     "CompiledKernel",
     "CompiledCostModel",
     "CompiledFusedKernel",
-    "compile_fused",
     "kernel_cache_info",
     "clear_kernel_cache",
 ]
-
-#: Recognised kernel backends.  ``off`` is a scheduler-level setting (use the
-#: un-compiled :class:`~repro.model.batch.BatchCostModel`).
-KERNEL_BACKENDS = ("numpy", "numba", "off")
-
-#: Environment variable selecting the process-wide default backend.
-BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: Tri-state numba availability: ``None`` until first probed.
-_NUMBA_PROBE: bool | None = None
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Resolve the effective kernel backend name.
-
-    Explicit ``backend`` wins, then :data:`BACKEND_ENV_VAR`, then
-    ``"numpy"``.  Unknown names raise ``ValueError`` naming the options.
-    """
-    value = backend or os.environ.get(BACKEND_ENV_VAR) or "numpy"
-    if value not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {value!r}; expected one of {KERNEL_BACKENDS}"
-        )
-    return value
-
-
-def numba_available() -> bool:
-    """True when the optional numba dependency is importable (probed once)."""
-    global _NUMBA_PROBE
-    if _NUMBA_PROBE is None:
-        try:  # pragma: no cover - numba is absent in the CI image
-            import numba  # noqa: F401
-
-            _NUMBA_PROBE = True
-        except ImportError:
-            _NUMBA_PROBE = False
-    return _NUMBA_PROBE
-
-
-def _masked_product(where_mask, bound):
-    """Row-wise product of ``bound`` over ``where_mask`` positions.
-
-    Equivalent to the scalar walk ``factor *= bound[j] if mask[j]``: the
-    reduction runs sequentially along the loop axis and every intermediate
-    is an exactly-representable integer, so the float result is bit-equal.
-    """
-    return np.where(where_mask, bound, 1.0).prod(axis=1)
-
-
-def _make_numba_masked_product():  # pragma: no cover - needs numba installed
-    """Jitted twin of :func:`_masked_product` (same op order, same results)."""
-    from numba import njit
-
-    @njit(cache=True)
-    def masked_product(where_mask, bound):
-        B, M = where_mask.shape
-        out = np.ones(B, dtype=np.float64)
-        for b in range(B):
-            acc = 1.0
-            for j in range(M):
-                if where_mask[b, j]:
-                    acc = acc * bound[b, j]
-            out[b] = acc
-        return out
-
-    return masked_product
-
-
-class CompiledKernel:
-    """Evaluation expressions of one (problem, architecture) pair.
-
-    Instances are built by :class:`KernelCompiler` (never directly) and are
-    immutable after construction: every problem- and architecture-dependent
-    constant — bounds gathers, relevance tables, boundary-flow structure,
-    energy coefficients — is baked in, so :meth:`evaluate` runs only array
-    arithmetic over per-candidate data.
-    """
-
-    def __init__(self, problem: TensorProblem, accelerator: Accelerator, backend: str):
-        start = time.perf_counter()
-        self.problem = problem
-        self.accelerator = accelerator
-        self.backend = backend
-        #: Backend actually used: ``numba`` downgrades to ``numpy`` when the
-        #: import is unavailable (results are identical either way).
-        self.effective_backend = (
-            "numba" if backend == "numba" and numba_available() else "numpy"
-        )
-        self._masked_product = _masked_product
-        if self.effective_backend == "numba":  # pragma: no cover - numba optional
-            self._masked_product = _make_numba_masked_product()
-
-        hierarchy = accelerator.hierarchy
-        self.num_levels = len(hierarchy)
-        self.dram_index = hierarchy.dram_index
-        self.pe_level = accelerator.pe_level_index()
-
-        tables = _ProblemTables(problem)
-        self._tables = tables
-        self.dim_index = tables.dim_index
-        self.num_dims = len(problem.dims)
-        self._rel = tables.rel  # bool[D, T]
-        is_reduction = np.zeros(self.num_dims, dtype=bool)
-        is_reduction[tables.reduction_dim_indices] = True
-        self._is_reduction_dim = is_reduction
-
-        # Per-level architecture constants (same values BatchCostModel derives).
-        self._fanout = np.array([lvl.spatial_fanout for lvl in hierarchy], dtype=np.float64)
-        self._capacity = np.array(
-            [np.inf if lvl.is_unbounded else float(lvl.capacity_bytes) for lvl in hierarchy],
-            dtype=np.float64,
-        )
-        self._bandwidth = [lvl.bandwidth_words_per_cycle for lvl in hierarchy]
-        self._bandwidth_arr = np.array(self._bandwidth, dtype=np.float64)
-        self._bytes = {t: float(accelerator.precision.bytes_for(t)) for t in TensorKind}
-        self._holds = {
-            t: np.array([lvl.holds(t) for lvl in hierarchy], dtype=bool) for t in TensorKind
-        }
-        self._flow_pairs: list[tuple[TensorKind, int, int]] = []
-        for tensor in TensorKind:
-            levels = hierarchy.levels_holding(tensor)
-            for child, parent in zip(levels, levels[1:]):
-                self._flow_pairs.append((tensor, child, parent))
-        self._children = sorted({child for _, child, _ in self._flow_pairs})
-        self._tensors_at_child = {
-            child: [t for t in TensorKind if any(c == child and ft is t for ft, c, _ in self._flow_pairs)]
-            for child in self._children
-        }
-        self._innermost = {t: hierarchy.innermost_level_for(t) for t in TensorKind}
-        self._multicast = accelerator.noc.multicast
-        table = accelerator.energy
-        self._level_energy_pj = [table.access_energy(lvl.name) for lvl in hierarchy]
-        self._mac_pj = table.mac_energy_pj
-        self._hop_pj = table.noc_hop_energy_pj
-        rows, cols = accelerator.pe_array.rows, accelerator.pe_array.cols
-        self._average_hops = (rows + cols) / 2.0
-        self._total_lanes = accelerator.pe_array.num_pes * accelerator.pe_array.macs_per_pe
-
-        #: Per-layer constants (bounds vector, tensor volumes, macs), cached
-        #: because a search evaluates thousands of batches of one layer.
-        self._layer_consts: dict = {}
-        self.build_seconds = time.perf_counter() - start
-
-    # ------------------------------------------------------------------ layers
-    def _consts(self, layer):
-        """Cached per-layer constants: bounds vector, volumes, macs, stride."""
-        consts = self._layer_consts.get(layer)
-        if consts is None:
-            layer_bounds = layer.bounds
-            consts = (
-                np.array([layer_bounds[d] for d in self.problem.dims], dtype=np.float64),
-                {t: float(layer.tensor_volume(t)) for t in TensorKind},
-                float(layer.macs),
-                float(layer.stride),
-            )
-            self._layer_consts[layer] = consts
-        return consts
-
-    # ----------------------------------------------------------------- packing
-    def pack_draws(self, draws) -> MappingBatch:
-        """Pack a :class:`~repro.mapping.space.MappingDraws` into a batch.
-
-        Produces exactly the arrays of :meth:`MappingBatch.from_draws`
-        (locked by the parity tests) but builds them with flat index lists
-        and one fancy-index scatter per array instead of four numpy scalar
-        assignments per loop — the packing loop dominated the batched
-        pipeline for small layers.
-        """
-        size = len(draws)
-        L, D = draws.num_levels, self.num_dims
-        dim_index = self.dim_index
-
-        # The flattened loop order is level-major within each draw, so the
-        # (draw, position, level) index columns are pure arithmetic over the
-        # per-(draw, level) loop counts — only the dimension ids and bounds
-        # need the Python walk.  That walk runs once per drawn loop,
-        # thousands of times per batch; keep its body to two appends.
-        t_counts: list[int] = []
-        t_dm: list[int] = []
-        t_bd: list[int] = []
-        add_count, add_dm, add_bd = t_counts.append, t_dm.append, t_bd.append
-        for levels in draws.temporal:
-            for loops in levels:
-                add_count(len(loops))
-                for dim, bound in loops:
-                    add_dm(dim_index[dim])
-                    add_bd(bound)
-
-        s_counts: list[int] = []
-        s_dm: list[int] = []
-        s_bd: list[int] = []
-        add_count, add_dm, add_bd = s_counts.append, s_dm.append, s_bd.append
-        for levels in draws.spatial:
-            for loops in levels:
-                add_count(len(loops))
-                for dim, bound in loops:
-                    add_dm(dim_index[dim])
-                    add_bd(bound)
-
-        level_ids = np.tile(np.arange(L, dtype=np.int64), size)
-        counts = np.array(t_counts, dtype=np.int64)
-        per_draw = counts.reshape(size, L).sum(axis=1)
-        max_loops = max(int(per_draw.max(initial=0)), 1)
-
-        tf = np.ones((size, L, D), dtype=np.float64)
-        sf = np.ones((size, L, D), dtype=np.float64)
-        loop_level = np.full((size, max_loops), PAD, dtype=np.int64)
-        loop_dim = np.full((size, max_loops), PAD, dtype=np.int64)
-        loop_bound = np.ones((size, max_loops), dtype=np.float64)
-        if t_dm:
-            rows = np.repeat(np.arange(size, dtype=np.int64), per_draw)
-            lv = np.repeat(level_ids, counts)
-            starts = np.concatenate([[0], np.cumsum(per_draw)[:-1]])
-            cols = np.arange(len(rows), dtype=np.int64) - np.repeat(starts, per_draw)
-            dm = np.array(t_dm, dtype=np.int64)
-            bd = np.array(t_bd, dtype=np.float64)
-            # Draws merge loops per (level, dim), so plain assignment matches
-            # the reference ``tf[b, l, d] *= bound`` accumulation.
-            tf[rows, lv, dm] = bd
-            loop_level[rows, cols] = lv
-            loop_dim[rows, cols] = dm
-            loop_bound[rows, cols] = bd
-        if s_dm:
-            s_counts_arr = np.array(s_counts, dtype=np.int64)
-            s_per_draw = s_counts_arr.reshape(size, L).sum(axis=1)
-            s_rows = np.repeat(np.arange(size, dtype=np.int64), s_per_draw)
-            s_lv = np.repeat(level_ids, s_counts_arr)
-            sf[s_rows, s_lv, np.array(s_dm, dtype=np.int64)] = np.array(s_bd, dtype=np.float64)
-        return MappingBatch(
-            draws.layer, tf, sf, loop_level, loop_dim, loop_bound, source=draws
-        )
-
-    # ------------------------------------------------------------- stationarity
-    def _refetch_and_pending(self, batch: MappingBatch):
-        """Vectorized stationarity rules (see ``BatchCostModel`` for the walk).
-
-        The per-loop Python product of the batched model is replaced with a
-        single masked reduction per (tensor, child) — same sequential order,
-        bit-identical results (every intermediate is an exact integer).
-        """
-        level = batch.loop_level
-        dim = batch.loop_dim
-        bound = batch.loop_bound
-        B = level.shape[0]
-        present = dim >= 0
-        dim_safe = np.where(present, dim, 0)
-        rel = self._rel[dim_safe]  # [B, M, T]
-        is_reduction = self._is_reduction_dim[dim_safe] & present
-
-        refetch: dict[tuple[TensorKind, int], np.ndarray] = {}
-        pending: dict[int, np.ndarray] = {}
-        for child in self._children:
-            mask = (level >= child) & present
-            for tensor in self._tensors_at_child[child]:
-                relevant = rel[:, :, int(tensor)] & mask
-                seen = np.logical_or.accumulate(relevant, axis=1)
-                refetch[(tensor, child)] = self._masked_product(seen & mask, bound)
-            relevant = rel[:, :, int(TensorKind.OUTPUT)] & mask
-            seen = np.logical_or.accumulate(relevant, axis=1)
-            seen_before = np.concatenate([np.zeros((B, 1), dtype=bool), seen[:, :-1]], axis=1)
-            pending[child] = np.any(seen_before & mask & is_reduction, axis=1)
-        return refetch, pending
-
-    def _spatial_factor_between(self, sf, child: int, parent: int, tensor: TensorKind):
-        dims = self._tables.irrelevant_dims[tensor]
-        span = sf[:, child + 1 : parent + 1, :][:, :, dims]
-        return span.reshape(span.shape[0], -1).prod(axis=1)
-
-    # ----------------------------------------------------------------- evaluate
-    def evaluate(self, batch: MappingBatch) -> BatchCostResult:
-        """Validate and evaluate every candidate of ``batch`` at once.
-
-        The expression structure is the batched model's, which mirrors the
-        scalar oracle; only the setup work has moved to compile time.
-        """
-        result, _ = self._evaluate(batch, want_detail=False)
-        return result
-
-    def evaluate_detail(self, batch: MappingBatch) -> BatchEvalDetail:
-        """Evaluate ``batch`` and return the detail view the fused combiner needs.
-
-        The compiled twin of :meth:`BatchCostModel.evaluate_detail` — the
-        same intermediates captured off the compiled expressions.
-        """
-        _, detail = self._evaluate(batch, want_detail=True)
-        if detail is None:
-            raise ValueError(
-                "batch level count does not match the architecture; "
-                "detail evaluation requires matching hierarchies"
-            )
-        return detail
-
-    def _evaluate(self, batch: MappingBatch, want_detail: bool):
-        layer = batch.layer
-        if layer.problem.name != self.problem.name:
-            raise ValueError(
-                f"kernel compiled for problem {self.problem.name!r} cannot "
-                f"evaluate a {layer.problem.name!r} layer"
-            )
-        B = batch.size
-        tf, sf = batch.temporal, batch.spatial
-        L, D = self.num_levels, self.num_dims
-
-        if batch.num_levels != L:
-            inf = np.full(B, np.inf)
-            result = BatchCostResult(
-                valid=np.zeros(B, dtype=bool),
-                latency=inf,
-                energy=inf.copy(),
-                utilization=np.zeros(B),
-            )
-            return result, None
-
-        bounds, volumes, macs, stride = self._consts(layer)
-        total = tf * sf
-
-        # -------------------------------------------------------- validation
-        dim_products = total.prod(axis=1)
-        consistent = np.all(dim_products == bounds, axis=1)
-        spatial_per_level = sf.prod(axis=2)
-        fanout_ok = np.all(spatial_per_level <= self._fanout, axis=1)
-
-        # ------------------------------------------------------- tile sizes
-        below = np.ones((B, L, D), dtype=np.float64)
-        if L > 1:
-            below[:, 1:, :] = np.cumprod(total, axis=1)[:, :-1, :]
-        footprint = below * sf
-
-        f = {dim: footprint[:, :, self.dim_index[dim]] for dim in self.problem.dims}
-        tiles = self._tables.tiles(f, stride)
-        for tensor in TensorKind:
-            tile = tiles[tensor]
-            tile[:, ~self._holds[tensor]] = 0.0
-            if self._holds[tensor][self.dram_index]:
-                tile[:, self.dram_index] = volumes[tensor]
-
-        used_bytes = np.zeros((B, L), dtype=np.float64)
-        for tensor in TensorKind:
-            used_bytes = used_bytes + tiles[tensor] * self._bytes[tensor]
-        buffers_ok = np.all(used_bytes <= self._capacity, axis=1)
-
-        valid = consistent & fanout_ok & buffers_ok
-
-        # --------------------------------------------------- boundary flows
-        refetch, pending = self._refetch_and_pending(batch)
-        instances = np.ones((B, L), dtype=np.float64)
-        if L > 1:
-            suffix = np.cumprod(spatial_per_level[:, ::-1], axis=1)[:, ::-1]
-            instances[:, :-1] = suffix[:, 1:]
-
-        reads = np.zeros((B, L, len(TensorKind)), dtype=np.float64)
-        writes = np.zeros((B, L, len(TensorKind)), dtype=np.float64)
-        words_served = np.zeros((B, L), dtype=np.float64)
-        noc_words = {tensor: np.zeros(B, dtype=np.float64) for tensor in TensorKind}
-        dram_flows: dict[TensorKind, DramBoundaryFlowBatch] = {}
-
-        for tensor, child, parent in self._flow_pairs:
-            t = int(tensor)
-            tile = tiles[tensor][:, child]
-            words_into_child = tile * refetch[(tensor, child)] * instances[:, child]
-            raw_lanes = self._spatial_factor_between(sf, child, parent, tensor)
-            multicast = raw_lanes if self._multicast else np.ones(B, dtype=np.float64)
-            words_read_from_parent = words_into_child / np.maximum(multicast, 1.0)
-            words_written_to_parent = np.zeros(B, dtype=np.float64)
-            words_read_back = np.zeros(B, dtype=np.float64)
-            if tensor is TensorKind.OUTPUT:
-                reduction_lanes = np.maximum(raw_lanes, 1.0)
-                words_written_to_parent = words_into_child / reduction_lanes
-                words_read_back = np.where(pending[child], words_written_to_parent, 0.0)
-                words_into_child = words_read_back * reduction_lanes
-                words_read_from_parent = words_read_back
-
-            if want_detail and parent == self.dram_index:
-                dram_flows[tensor] = DramBoundaryFlowBatch(
-                    tensor=tensor,
-                    child_level=child,
-                    words_into_child=words_into_child,
-                    words_read_from_parent=words_read_from_parent,
-                    words_written_to_parent=words_written_to_parent,
-                )
-
-            writes[:, child, t] += words_into_child
-            reads[:, parent, t] += words_read_from_parent
-            writes[:, parent, t] += words_written_to_parent
-            reads[:, child, t] += words_written_to_parent
-
-            words_served[:, parent] = words_served[:, parent] + (
-                words_read_from_parent + words_written_to_parent
-            )
-            if child < self.pe_level <= parent:
-                noc_words[tensor] = noc_words[tensor] + (
-                    words_into_child + words_written_to_parent + words_read_back
-                )
-
-        for tensor in TensorKind:
-            innermost = self._innermost[tensor]
-            t = int(tensor)
-            if tensor is TensorKind.OUTPUT:
-                reads[:, innermost, t] += macs
-                writes[:, innermost, t] += macs
-            else:
-                reads[:, innermost, t] += macs
-
-        # ------------------------------------------------------------ latency
-        # Fused form of the per-level maximum walk: max() is order-invariant,
-        # and each cycles term is the identical quotient, so the result is
-        # bit-equal to the batched model's sequential np.maximum chain.
-        compute_cycles = tf.reshape(B, -1).prod(axis=1)
-        cycles = words_served / (self._bandwidth_arr * instances)
-        latency = np.maximum(compute_cycles, cycles.max(axis=1))
-
-        # ------------------------------------------------------------- energy
-        # accesses[b, l] sums (reads + writes) over the short tensor axis;
-        # numpy reduces a length-3 axis sequentially (no pairwise split), so
-        # the accumulation order matches the scalar TensorKind walk.
-        mac_energy = macs * self._mac_pj
-        accesses = (reads + writes).sum(axis=2)
-        level_energy_sum = np.zeros(B, dtype=np.float64)
-        for index in range(L):
-            level_energy_sum = level_energy_sum + accesses[:, index] * self._level_energy_pj[index]
-        total_noc_words = np.zeros(B, dtype=np.float64)
-        for tensor in TensorKind:
-            total_noc_words = total_noc_words + noc_words[tensor]
-        noc_energy = total_noc_words * self._average_hops * self._hop_pj
-        energy = (mac_energy + noc_energy) + level_energy_sum
-
-        utilization = np.minimum(1.0, sf.reshape(B, -1).prod(axis=1) / self._total_lanes)
-
-        result = BatchCostResult(
-            valid=valid,
-            latency=np.where(valid, latency, np.inf),
-            energy=np.where(valid, energy, np.inf),
-            utilization=np.where(valid, utilization, 0.0),
-        )
-        detail = None
-        if want_detail:
-            detail = BatchEvalDetail(
-                result=result,
-                compute_cycles=compute_cycles,
-                words_served=words_served,
-                instances=instances,
-                used_bytes=used_bytes,
-                dram_flows=dram_flows,
-            )
-        return result, detail
-
-    def evaluate_draws(self, draws) -> BatchCostResult:
-        """Pack ``draws`` with the fast path and evaluate them."""
-        return self.evaluate(self.pack_draws(draws))
-
-
-# ------------------------------------------------------------------- compiler
-#: Process-wide compiled-kernel cache keyed by
-#: ``(problem fingerprint, arch fingerprint, effective backend)``.
-_KERNEL_CACHE: dict[tuple[str, str, str], CompiledKernel] = {}
-_CACHE_STATS = {"hits": 0, "misses": 0}
-#: Process-wide compiled fused-group kernels keyed by
-#: ``(group fingerprint, arch fingerprint, effective backend)``.
-_FUSED_CACHE: dict[tuple[str, str, str], "CompiledFusedKernel"] = {}
-_FUSED_STATS = {"fused_hits": 0, "fused_misses": 0}
-
-
-def kernel_cache_info() -> dict:
-    """Hit/miss counters and entry counts of the process-wide kernel caches."""
-    return {
-        **_CACHE_STATS,
-        "entries": len(_KERNEL_CACHE),
-        **_FUSED_STATS,
-        "fused_entries": len(_FUSED_CACHE),
-    }
-
-
-def clear_kernel_cache() -> None:
-    """Drop every compiled kernel, per-problem and fused (tests/benchmarks)."""
-    _KERNEL_CACHE.clear()
-    _CACHE_STATS["hits"] = 0
-    _CACHE_STATS["misses"] = 0
-    _FUSED_CACHE.clear()
-    _FUSED_STATS["fused_hits"] = 0
-    _FUSED_STATS["fused_misses"] = 0
-
-
-class KernelCompiler:
-    """Compile (and cache) evaluation kernels for one architecture.
-
-    Parameters
-    ----------
-    accelerator:
-        Target architecture; its :meth:`fingerprint` keys the cache.
-    backend:
-        ``"numpy"`` / ``"numba"`` or ``None`` to read
-        :data:`BACKEND_ENV_VAR` (default numpy).  The backend never changes
-        results, only how the innermost reductions execute.
-    """
-
-    def __init__(self, accelerator: Accelerator, backend: str | None = None):
-        if not HAVE_NUMPY:
-            raise RuntimeError(
-                "repro.model.kernels requires numpy; use the scalar CostModel instead"
-            )
-        backend = resolve_backend(backend)
-        if backend == "off":
-            raise ValueError(
-                "backend 'off' disables compilation at the scheduler level; "
-                "pick 'numpy' or 'numba' to compile kernels"
-            )
-        self.accelerator = accelerator
-        self.backend = backend
-        self._arch_fingerprint = accelerator.fingerprint()
-
-    def compile(self, problem: TensorProblem) -> CompiledKernel:
-        """The compiled kernel for ``problem`` (cached process-wide)."""
-        effective = "numba" if self.backend == "numba" and numba_available() else "numpy"
-        key = (problem.fingerprint(), self._arch_fingerprint, effective)
-        kernel = _KERNEL_CACHE.get(key)
-        if kernel is not None and kernel.problem == problem:
-            _CACHE_STATS["hits"] += 1
-            return kernel
-        _CACHE_STATS["misses"] += 1
-        kernel = CompiledKernel(problem, self.accelerator, self.backend)
-        _KERNEL_CACHE[key] = kernel
-        return kernel
-
-
-class CompiledFusedKernel:
-    """Compiled fused-group evaluation: per-operator kernels + fused combiner.
-
-    Composes the existing per-problem :class:`CompiledKernel` instances (one
-    per operator, shared through the process-wide cache) with the fused
-    combiner of :mod:`repro.model.fused_batch` — the same combiner the
-    plain :class:`~repro.model.fused_batch.BatchFusedCostModel` runs, so the
-    two fast paths are identical by construction and both stay bit-for-bit
-    equal to the scalar :class:`~repro.model.fused.FusedCostModel` oracle.
-    Built by :func:`compile_fused` (cached process-wide), never directly.
-    """
-
-    def __init__(self, group, accelerator: Accelerator, backend: str | None = None):
-        start = time.perf_counter()
-        self.group = group
-        self.accelerator = accelerator
-        compiler = KernelCompiler(accelerator, backend=backend)
-        self.backend = compiler.backend
-        self.effective_backend = (
-            "numba" if compiler.backend == "numba" and numba_available() else "numpy"
-        )
-        self.kernels = [compiler.compile(layer.problem) for layer in group.layers]
-        from repro.model.fused import resolve_pin_level
-
-        self._resolve_pin = resolve_pin_level
-        self.build_seconds = time.perf_counter() - start
-
-    def evaluate_group(self, fused_batch, fused: bool = True, pin_level=None):
-        """Evaluate every candidate group tiling of ``fused_batch`` at once."""
-        from repro.model.fused_batch import combine_group_details
-
-        group = fused_batch.group
-        if group.fingerprint() != self.group.fingerprint():
-            raise ValueError(
-                f"fused kernel compiled for group {self.group.name!r} cannot "
-                f"evaluate group {group.name!r}"
-            )
-        pin = self._resolve_pin(self.accelerator, pin_level)
-        details = [
-            kernel.evaluate_detail(batch)
-            for kernel, batch in zip(self.kernels, fused_batch.batches)
-        ]
-        return combine_group_details(
-            self.accelerator,
-            group,
-            fused_batch.batches,
-            details,
-            fused=fused,
-            pin=pin,
-        )
-
-
-def compile_fused(group, accelerator: Accelerator, backend: str | None = None) -> CompiledFusedKernel:
-    """The compiled fused kernel for ``group`` (cached process-wide).
-
-    Keyed by ``(group fingerprint, arch fingerprint, effective backend)``;
-    the per-operator kernels it composes land in (and come from) the
-    regular per-problem cache.
-    """
-    backend_name = resolve_backend(backend)
-    if backend_name == "off":
-        raise ValueError(
-            "backend 'off' disables compilation at the scheduler level; "
-            "pick 'numpy' or 'numba' to compile fused kernels"
-        )
-    effective = "numba" if backend_name == "numba" and numba_available() else "numpy"
-    key = (group.fingerprint(), accelerator.fingerprint(), effective)
-    kernel = _FUSED_CACHE.get(key)
-    if kernel is not None:
-        _FUSED_STATS["fused_hits"] += 1
-        return kernel
-    _FUSED_STATS["fused_misses"] += 1
-    kernel = CompiledFusedKernel(group, accelerator, backend=backend_name)
-    _FUSED_CACHE[key] = kernel
-    return kernel
-
-
-class CompiledCostModel:
-    """Drop-in for :class:`~repro.model.batch.BatchCostModel` on compiled kernels.
-
-    Exposes the same evaluation surface (``evaluate_batch`` /
-    ``evaluate_mappings``) plus :meth:`evaluate_draws`, which also uses the
-    kernel's fast packing path.  Results are bit-identical to both the
-    batched model and the scalar oracle regardless of backend.
-    """
-
-    def __init__(self, accelerator: Accelerator, backend: str | None = None):
-        self.accelerator = accelerator
-        self.compiler = KernelCompiler(accelerator, backend=backend)
-
-    def kernel_for(self, problem: TensorProblem) -> CompiledKernel:
-        """The (cached) compiled kernel evaluating ``problem`` layers."""
-        return self.compiler.compile(problem)
-
-    def evaluate_batch(self, batch: MappingBatch) -> BatchCostResult:
-        """Evaluate a pre-packed batch through the compiled kernel."""
-        return self.kernel_for(batch.layer.problem).evaluate(batch)
-
-    def evaluate_draws(self, draws) -> BatchCostResult:
-        """Pack sampled draws with the kernel fast path and evaluate them."""
-        return self.kernel_for(draws.layer.problem).evaluate_draws(draws)
-
-    def evaluate_mappings(self, mappings) -> BatchCostResult:
-        """Convenience: pack ``mappings`` into a batch and evaluate it."""
-        return self.evaluate_batch(MappingBatch.from_mappings(list(mappings)))

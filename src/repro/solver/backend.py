@@ -17,18 +17,7 @@ class Backend(Protocol):
 
 
 def default_backend() -> "Backend":
-    """Return the preferred backend available in this environment.
-
-    ``scipy.optimize.milp`` (HiGHS) is preferred; the pure-Python
-    branch-and-bound backend is the fallback when the scipy installation is
-    too old to provide ``milp``.
-    """
-    try:
-        from scipy.optimize import milp  # noqa: F401
-    except ImportError:  # pragma: no cover - depends on the environment
-        from repro.solver.branch_and_bound import BranchAndBoundBackend
-
-        return BranchAndBoundBackend()
+    """Return the solver backend: ``scipy.optimize.milp`` (HiGHS)."""
     from repro.solver.scipy_backend import ScipyMilpBackend
 
     return ScipyMilpBackend()

@@ -21,10 +21,8 @@ import pytest
 from repro.arch import architecture_presets, simba_like
 from repro.baselines import RandomScheduler, TimeloopHybridScheduler, TVMLikeTuner
 from repro.mapping import MapSpace, Mapping, mapping_to_dict
-from repro.model import CostModel, HAVE_NUMPY, BatchCostModel, MappingBatch
+from repro.model import CostModel, BatchCostModel, MappingBatch
 from repro.workloads import Layer, layer_from_name
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable: no batched path")
 
 ARCH = simba_like()
 REL = 1e-9

@@ -10,7 +10,7 @@ delta-accumulated result equals
   invalid states are checked too),
 * the scalar :class:`~repro.model.cost.CostModel` oracle on the
   materialized mapping, with ``==`` (bit-for-bit, no tolerance),
-* and, when numpy is present, the batched evaluator.
+* and the batched evaluator.
 
 Plus the mechanics underneath: ``preview`` leaves state and caches
 untouched, ``apply``/``undo`` round-trips restore both, and
@@ -24,7 +24,8 @@ import pytest
 from repro.arch import architecture_presets, simba_like
 from repro.mapping import MapSpace, mapping_to_dict
 from repro.mapping.moves import FactorMove, MappingState, PermutationSwap, propose_move
-from repro.model import CostModel, HAVE_NUMPY
+from repro.model import CostModel
+from repro.model.batch import BatchCostModel
 from repro.model.delta import DeltaEvaluator
 from repro.workloads import (
     attention_av,
@@ -36,9 +37,6 @@ from repro.workloads import (
 )
 
 ARCH = simba_like()
-
-if HAVE_NUMPY:
-    from repro.model.batch import BatchCostModel, MappingBatch
 
 
 def builtin_problem_layers():
@@ -91,12 +89,11 @@ def assert_full_parity(result, state, arch, scalar):
     if cost.valid:
         assert result.edp == cost.edp
 
-    if HAVE_NUMPY:
-        batch = BatchCostModel(arch).evaluate_mappings([mapping])
-        assert result.valid == bool(batch.valid[0])
-        assert result.latency == batch.latency[0]
-        assert result.energy == batch.energy[0]
-        assert result.utilization == batch.utilization[0]
+    batch = BatchCostModel(arch).evaluate_mappings([mapping])
+    assert result.valid == bool(batch.valid[0])
+    assert result.latency == batch.latency[0]
+    assert result.energy == batch.energy[0]
+    assert result.utilization == batch.utilization[0]
 
 
 class TestDeltaMatchesFullReevaluation:

@@ -139,71 +139,3 @@ class TestFigureGenerators:
             for factor in point.spatial.values():
                 product *= factor
             assert product <= simba_like().num_pes
-
-
-class TestHarnessDeprecationShim:
-    """The old repro.experiments.harness location keeps working, with a warning.
-
-    The suite runs with ``-W error::DeprecationWarning`` (see pyproject), so
-    these tests opt in explicitly via ``pytest.warns`` / ``catch_warnings``;
-    any *other* test tripping the shim fails loudly instead.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _fresh_warning_state(self):
-        # The shim warns once per symbol per process; reset so these tests
-        # are order-independent.
-        from repro.experiments import harness
-
-        harness._WARNED.clear()
-        yield
-        harness._WARNED.clear()
-
-    def test_classes_reexported(self):
-        from repro.experiments import harness
-
-        assert harness.ComparisonConfig is ComparisonConfig
-        assert harness.SpeedupSummary is SpeedupSummary
-        assert harness.geometric_mean is geometric_mean
-
-    def test_compare_on_layer_warns_and_delegates(self):
-        from repro.experiments.harness import compare_on_layer as legacy_compare_on_layer
-
-        config = ComparisonConfig(
-            accelerator=ARCH,
-            random_valid=2,
-            hybrid_threads=1,
-            hybrid_termination=8,
-            hybrid_max_evaluations=60,
-        )
-        layer = Layer(r=1, p=2, c=4, k=4, name="shim-tiny")
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            comparison = legacy_compare_on_layer(layer, config)
-        assert isinstance(comparison, LayerComparison)
-        assert comparison.layer == "shim-tiny"
-
-    def test_warns_exactly_once_per_symbol(self):
-        import warnings
-
-        from repro.experiments.harness import (
-            compare_on_layer as legacy_compare_on_layer,
-            compare_on_network as legacy_compare_on_network,
-        )
-
-        config = ComparisonConfig(
-            accelerator=ARCH,
-            random_valid=1,
-            hybrid_threads=1,
-            hybrid_termination=8,
-            hybrid_max_evaluations=30,
-        )
-        layer = Layer(r=1, p=2, c=4, k=4, name="shim-once")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy_compare_on_layer(layer, config)
-            legacy_compare_on_layer(layer, config)  # second call: no new warning
-            legacy_compare_on_network("net", [layer], config)
-        messages = [str(w.message) for w in caught if w.category is DeprecationWarning]
-        assert len(messages) == 2  # one per symbol, not per call
-        assert any("compare_on_layer" in m for m in messages)
-        assert any("compare_on_network" in m for m in messages)

@@ -3,19 +3,16 @@
 The scalar :class:`~repro.model.fused.FusedCostModel` is the parity oracle:
 the batched combiner (:mod:`repro.model.fused_batch`) must agree with it
 **bit-for-bit** on every preset fusion group — headline numbers and per-edge
-detail alike — and the compiled path (:func:`compile_fused`) must agree with
-the batched combiner via ``==``/``np.array_equal`` on every result array,
-for both the numpy backend and the numba backend's silent numpy fallback.
+detail alike.
 
 Also covered here: the scalar model's memoization counters, the divisor /
 frontier helpers of :mod:`repro.fusion.schedule` (including ``_retile_outer``
 leftover handling), the frontier alignment search itself (it must fully pin
-the small attention chain and never lose to the unfused baseline), the
-process-wide fused-kernel cache, and the ``EngineSpec.fusion_options``
-execution-only knob (round-trip + store-fingerprint invariance).
+the small attention chain and never lose to the unfused baseline), and the
+``EngineSpec.fusion_options`` execution-only knob (round-trip +
+store-fingerprint invariance).
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -42,32 +39,11 @@ from repro.fusion.schedule import (
 )
 from repro.mapping.mapping import Mapping
 from repro.mapping.space import MapSpace
-from repro.model import HAVE_NUMPY
 from repro.model.fused import FusedCostModel
+from repro.model.fused_batch import BatchFusedCostModel, FusedMappingBatch
 from repro.workloads.problem import matmul
 
 ARCH = simba_like()
-
-if HAVE_NUMPY:
-    import numpy as np
-
-    from repro.model.fused_batch import (
-        BatchFusedCostModel,
-        BatchFusedResult,
-        FusedMappingBatch,
-    )
-    from repro.model.kernels import (
-        clear_kernel_cache,
-        compile_fused,
-        kernel_cache_info,
-    )
-
-    #: Every array field of ``BatchFusedResult`` (``per_op`` is an object list).
-    RESULT_ARRAYS = tuple(
-        f.name for f in dataclasses.fields(BatchFusedResult) if f.name != "per_op"
-    )
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 
 def preset_groups():
@@ -115,18 +91,18 @@ def assert_candidate_matches_scalar(cost, result, i):
 # ------------------------------------------------- batched vs scalar oracle
 
 
-@needs_numpy
 class TestBatchedParity:
     def test_batched_equals_scalar_on_every_preset_group(self):
         for group in preset_groups():
-            candidates = random_candidates(group, 16, seed=7)
-            scalar = FusedCostModel(ARCH)
-            costs = [scalar.evaluate_group(group, c) for c in candidates]
-            batch = FusedMappingBatch.from_candidates(group, candidates)
-            result = BatchFusedCostModel(ARCH).evaluate_group(batch)
-            assert len(result) == len(candidates)
-            for i, cost in enumerate(costs):
-                assert_candidate_matches_scalar(cost, result, i)
+            for samples, seed in ((16, 7), (12, 11)):
+                candidates = random_candidates(group, samples, seed=seed)
+                scalar = FusedCostModel(ARCH)
+                costs = [scalar.evaluate_group(group, c) for c in candidates]
+                batch = FusedMappingBatch.from_candidates(group, candidates)
+                result = BatchFusedCostModel(ARCH).evaluate_group(batch)
+                assert len(result) == len(candidates)
+                for i, cost in enumerate(costs):
+                    assert_candidate_matches_scalar(cost, result, i)
             assert any(c.valid for c in costs), f"{group.name}: weak test, no valid draw"
 
     def test_randomized_property_parity(self):
@@ -171,52 +147,6 @@ class TestBatchedParity:
             FusedMappingBatch.from_candidates(group, [])
         with pytest.raises(ValueError, match="operators"):
             FusedMappingBatch.from_candidates(group, [c[:2] for c in candidates])
-
-
-# ------------------------------------------------- compiled vs batched
-
-
-@needs_numpy
-class TestCompiledFusedParity:
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
-    def test_compiled_equals_batched_bitwise(self, backend):
-        for group in preset_groups():
-            candidates = random_candidates(group, 12, seed=11)
-            batch = FusedMappingBatch.from_candidates(group, candidates)
-            reference = BatchFusedCostModel(ARCH).evaluate_group(batch)
-            kernel = compile_fused(group, ARCH, backend=backend)
-            if backend == "numba":
-                # without numba installed the kernel silently runs numpy
-                assert kernel.effective_backend in ("numpy", "numba")
-            compiled = kernel.evaluate_group(batch)
-            for name in RESULT_ARRAYS:
-                assert np.array_equal(
-                    getattr(compiled, name), getattr(reference, name)
-                ), f"{group.name}: {name} diverges under backend={backend}"
-
-    def test_second_compile_hits_the_fused_cache(self):
-        clear_kernel_cache()
-        group = attention_block(seq=32, heads=2, head_dim=16)
-        first = compile_fused(group, ARCH)
-        info = kernel_cache_info()
-        assert info["fused_misses"] == 1 and info["fused_hits"] == 0
-        assert compile_fused(group, ARCH) is first
-        # an equal group built afresh shares the entry via the fingerprint
-        assert compile_fused(attention_block(seq=32, heads=2, head_dim=16), ARCH) is first
-        info = kernel_cache_info()
-        assert info["fused_hits"] == 2
-        assert info["fused_entries"] == 1
-        assert first.build_seconds >= 0.0
-        clear_kernel_cache()
-        assert kernel_cache_info()["fused_entries"] == 0
-
-    def test_group_mismatch_is_an_error(self):
-        group = attention_block(seq=32, heads=2, head_dim=16)
-        other = conv_bn_relu(r=3, p=8, c=16, k=16)
-        kernel = compile_fused(group, ARCH)
-        batch = FusedMappingBatch.from_candidates(other, random_candidates(other, 2, 0))
-        with pytest.raises(ValueError, match="cannot"):
-            kernel.evaluate_group(batch)
 
 
 # ------------------------------------------------- scalar memoization
@@ -335,7 +265,6 @@ class TestFrontierHelpers:
 # ------------------------------------------------- the alignment search
 
 
-@needs_numpy
 class TestFrontierAlignment:
     def _base(self, group):
         engine = SchedulingEngine(CoSAScheduler(ARCH))
@@ -352,18 +281,6 @@ class TestFrontierAlignment:
         assert cost.num_pinned_edges == len(group.edges)
         assert cost.dram_words <= cost.unfused_dram_words
         assert len(mappings) == len(group.layers)
-
-    def test_scalar_fallback_picks_the_same_winner(self, monkeypatch):
-        group = attention_block(seq=32, heads=2, head_dim=16)
-        engine, base_mappings = self._base(group)
-        _, fast, _ = _align_group(engine, group, base_mappings, FusedCostModel(ARCH))
-        import repro.model.batch as batch_module
-
-        monkeypatch.setattr(batch_module, "HAVE_NUMPY", False)
-        _, slow, _ = _align_group(engine, group, base_mappings, FusedCostModel(ARCH))
-        assert slow.dram_words == fast.dram_words
-        assert slow.latency == fast.latency
-        assert slow.energy == fast.energy
 
     def test_max_candidates_caps_the_search(self):
         group = attention_block(seq=32, heads=2, head_dim=16)

@@ -1,38 +1,30 @@
-"""Parity and cache tests for the compiled evaluation kernels.
+"""Parity and cache tests for the per-(problem, arch) evaluation kernels.
 
-The compiled path (:mod:`repro.model.kernels`) must be a pure speed-up:
+The kernels behind :class:`~repro.model.batch.BatchCostModel` must be a
+pure speed-up:
 
-* **Bit-exact parity** — on every built-in tensor problem the compiled
-  kernel's validity / latency / energy / utilization arrays equal the
-  batched model's with ``==`` (no tolerance), and the batched model is
-  itself locked to the scalar oracle by ``test_batch_parity.py``.
-* **Packing parity** — :meth:`CompiledKernel.pack_draws` produces exactly
-  the arrays of ``MappingBatch.from_draws``.
+* **Bit-exact parity** — on every built-in tensor problem and every
+  architecture preset the validity / latency / energy / utilization arrays
+  equal the scalar oracle's with ``==`` (no tolerance).
+* **Packing parity** — ``MappingBatch.from_draws`` produces exactly the
+  arrays of ``MappingBatch.from_mappings`` over the materialized draws.
 * **Cache behaviour** — kernels are cached process-wide per
-  (problem, architecture, backend) with observable hit/miss counters.
-* **Backend selection** — explicit argument beats the environment variable
-  beats the numpy default; the numba backend silently falls back to numpy
-  (and stays bit-identical) when numba is not installed, which is what
-  justifies keeping ``kernel_backend`` out of cache fingerprints.
+  (problem, architecture) with observable hit/miss counters.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.arch import architecture_presets, gpu_k80, simba_like
 from repro.mapping import MapSpace
-from repro.model import CostModel, HAVE_NUMPY
-from repro.model.batch import BatchCostModel, MappingBatch
-from repro.model.kernels import (
-    BACKEND_ENV_VAR,
-    KERNEL_BACKENDS,
-    CompiledCostModel,
-    KernelCompiler,
+from repro.model import CostModel
+from repro.model.batch import (
+    BatchCostModel,
+    MappingBatch,
     clear_kernel_cache,
     kernel_cache_info,
-    numba_available,
-    resolve_backend,
 )
 from repro.workloads import (
     attention_av,
@@ -43,12 +35,7 @@ from repro.workloads import (
     matmul,
 )
 
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable: no compiled path")
-
 ARCH = simba_like()
-
-if HAVE_NUMPY:
-    import numpy as np
 
 
 def builtin_problem_layers():
@@ -71,44 +58,42 @@ def assert_results_identical(a, b):
     assert np.array_equal(a.utilization, b.utilization)
 
 
-class TestCompiledParity:
-    def test_compiled_equals_batched_on_every_builtin_problem(self):
-        for layer in builtin_problem_layers():
-            draws = MapSpace(layer, ARCH).sample_batch(64, random.Random(7))
-            batched = BatchCostModel(ARCH).evaluate_batch(MappingBatch.from_draws(draws))
-            compiled = KernelCompiler(ARCH).compile(layer.problem).evaluate_draws(draws)
-            assert_results_identical(compiled, batched)
-            assert bool(compiled.valid.any()), f"no valid draw for {layer.name}: weak test"
+def assert_matches_scalar(result, scalar, draws):
+    """Every row equals the scalar oracle exactly, validity included."""
+    for i in range(len(draws)):
+        cost = scalar.evaluate(draws.materialize(i))
+        assert bool(result.valid[i]) == cost.valid
+        if cost.valid:
+            assert result.latency[i] == cost.latency
+            assert result.energy[i] == cost.energy
+            assert result.utilization[i] == cost.utilization
 
+
+class TestCompiledParity:
     def test_compiled_equals_scalar_oracle(self):
         scalar = CostModel(ARCH)
-        model = CompiledCostModel(ARCH)
+        model = BatchCostModel(ARCH)
         for layer in builtin_problem_layers():
-            draws = MapSpace(layer, ARCH).sample_batch(24, random.Random(11))
-            result = model.evaluate_draws(draws)
-            for i in range(len(draws)):
-                cost = scalar.evaluate(draws.materialize(i))
-                assert bool(result.valid[i]) == cost.valid
-                if cost.valid:
-                    assert result.latency[i] == cost.latency
-                    assert result.energy[i] == cost.energy
-                    assert result.utilization[i] == cost.utilization
+            for samples, seed in ((24, 11), (64, 7)):
+                draws = MapSpace(layer, ARCH).sample_batch(samples, random.Random(seed))
+                result = model.evaluate_draws(draws)
+                assert_matches_scalar(result, scalar, draws)
+            assert bool(result.valid.any()), f"no valid draw for {layer.name}: weak test"
 
     def test_parity_across_architecture_presets(self):
         layer = layer_from_name("3_14_32_64_1")
         for _, arch in sorted(architecture_presets().items()):
             draws = MapSpace(layer, arch).sample_batch(48, random.Random(3))
-            batched = BatchCostModel(arch).evaluate_batch(MappingBatch.from_draws(draws))
-            compiled = CompiledCostModel(arch).evaluate_draws(draws)
-            assert_results_identical(compiled, batched)
+            result = BatchCostModel(arch).evaluate_draws(draws)
+            assert_matches_scalar(result, CostModel(arch), draws)
 
     def test_evaluate_mappings_matches_batched_model(self):
         layer = layer_from_name("3_7_64_64_1")
         draws = MapSpace(layer, ARCH).sample_batch(16, random.Random(5))
         mappings = [draws.materialize(i) for i in range(len(draws))]
         assert_results_identical(
-            CompiledCostModel(ARCH).evaluate_mappings(mappings),
             BatchCostModel(ARCH).evaluate_mappings(mappings),
+            BatchCostModel(ARCH).evaluate_draws(draws),
         )
 
 
@@ -116,8 +101,10 @@ class TestPackDraws:
     def test_pack_draws_reproduces_from_draws_arrays(self):
         for layer in builtin_problem_layers():
             draws = MapSpace(layer, ARCH).sample_batch(32, random.Random(0))
-            reference = MappingBatch.from_draws(draws)
-            fast = KernelCompiler(ARCH).compile(layer.problem).pack_draws(draws)
+            fast = MappingBatch.from_draws(draws)
+            reference = MappingBatch.from_mappings(
+                [draws.materialize(i) for i in range(len(draws))]
+            )
             for name in ("temporal", "spatial", "loop_level", "loop_dim", "loop_bound"):
                 assert np.array_equal(getattr(fast, name), getattr(reference, name)), (
                     f"{layer.name}: {name} diverges"
@@ -130,14 +117,14 @@ class TestKernelCache:
     def test_second_compile_hits_the_cache(self):
         clear_kernel_cache()
         layer = matmul(m=8, n=16, k=32, name="cache_probe")
-        compiler = KernelCompiler(ARCH)
-        first = compiler.compile(layer.problem)
+        model = BatchCostModel(ARCH)
+        first = model.kernel_for(layer.problem)
         assert kernel_cache_info()["misses"] == 1
         assert kernel_cache_info()["hits"] == 0
-        second = compiler.compile(layer.problem)
+        second = model.kernel_for(layer.problem)
         assert second is first
-        # A fresh compiler on the same architecture shares the cache too.
-        assert KernelCompiler(ARCH).compile(layer.problem) is first
+        # A fresh model on the same architecture shares the cache too.
+        assert BatchCostModel(ARCH).kernel_for(layer.problem) is first
         info = kernel_cache_info()
         assert info["hits"] == 2
         assert info["misses"] == 1
@@ -147,72 +134,29 @@ class TestKernelCache:
         clear_kernel_cache()
         layer = layer_from_name("3_7_64_64_1")
         presets = sorted(architecture_presets().items())
-        kernels = [KernelCompiler(arch).compile(layer.problem) for _, arch in presets]
+        kernels = [BatchCostModel(arch).kernel_for(layer.problem) for _, arch in presets]
         assert len({id(k) for k in kernels}) == len(presets)
         assert kernel_cache_info()["entries"] == len(presets)
 
     def test_clear_kernel_cache_resets_counters(self):
-        KernelCompiler(ARCH).compile(matmul(m=4, n=4, k=4, name="tiny").problem)
+        BatchCostModel(ARCH).kernel_for(matmul(m=4, n=4, k=4, name="tiny").problem)
         clear_kernel_cache()
         assert kernel_cache_info() == {
             "hits": 0,
             "misses": 0,
             "entries": 0,
-            "fused_hits": 0,
             "fused_misses": 0,
-            "fused_entries": 0,
         }
 
     def test_kernel_records_build_time(self):
         clear_kernel_cache()
-        kernel = KernelCompiler(ARCH).compile(layer_from_name("3_7_64_64_1").problem)
+        kernel = BatchCostModel(ARCH).kernel_for(layer_from_name("3_7_64_64_1").problem)
         assert kernel.build_seconds >= 0.0
-
-
-class TestBackendSelection:
-    def test_backend_constant_is_shared_with_the_spec_layer(self):
-        # ``repro.api.specs`` keeps a local copy so importing the spec layer
-        # never pulls in the (numpy-importing) kernel module; this assertion
-        # is the promised sync check.
-        from repro.api.specs import KERNEL_BACKENDS as SPEC_BACKENDS
-
-        assert SPEC_BACKENDS == KERNEL_BACKENDS
-
-    def test_resolution_order_explicit_env_default(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend(None) == "numpy"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
-        assert resolve_backend(None) == "numba"
-        assert resolve_backend("numpy") == "numpy"  # explicit beats env
-        monkeypatch.setenv(BACKEND_ENV_VAR, "cuda")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend(None)
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("fortran")
-
-    def test_numba_backend_falls_back_and_stays_identical(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
-        clear_kernel_cache()
-        layer = layer_from_name("3_7_64_64_1")
-        kernel = KernelCompiler(ARCH).compile(layer.problem)
-        assert kernel.backend == "numba"
-        if not numba_available():  # the CI image has no numba
-            assert kernel.effective_backend == "numpy"
-        draws = MapSpace(layer, ARCH).sample_batch(32, random.Random(9))
-        via_env = kernel.evaluate_draws(draws)
-        monkeypatch.delenv(BACKEND_ENV_VAR)
-        clear_kernel_cache()
-        via_numpy = KernelCompiler(ARCH).compile(layer.problem).evaluate_draws(draws)
-        assert_results_identical(via_env, via_numpy)
-
-    def test_compiler_rejects_backend_off(self):
-        with pytest.raises(ValueError, match="scheduler level"):
-            KernelCompiler(ARCH, backend="off")
 
 
 class TestKernelGuards:
     def test_problem_mismatch_is_an_error(self):
-        kernel = KernelCompiler(ARCH).compile(layer_from_name("3_7_64_64_1").problem)
+        kernel = BatchCostModel(ARCH).kernel_for(layer_from_name("3_7_64_64_1").problem)
         other = matmul(m=8, n=16, k=32, name="wrong_problem")
         draws = MapSpace(other, ARCH).sample_batch(4, random.Random(0))
         with pytest.raises(ValueError, match="cannot"):
@@ -220,7 +164,7 @@ class TestKernelGuards:
 
     def test_level_count_mismatch_marks_everything_invalid(self):
         layer = layer_from_name("3_7_64_64_1")
-        kernel = KernelCompiler(ARCH).compile(layer.problem)  # 6-level hierarchy
+        kernel = BatchCostModel(ARCH).kernel_for(layer.problem)  # 6-level hierarchy
         shallow = gpu_k80()  # 4-level hierarchy
         draws = MapSpace(layer, shallow).sample_batch(8, random.Random(2))
         result = kernel.evaluate(MappingBatch.from_draws(draws))

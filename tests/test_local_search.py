@@ -5,15 +5,16 @@ Four layers of contract:
 * **End-to-end** — ``local-search`` is registered, schedules conv and
   matmul layers through ``schedule_outcome`` and the declarative ``run()``
   path, and its winner validates against the layer.
-* **Outcome invariance** — ``use_delta``, ``eval_batch_size`` and
-  ``kernel_backend`` are pure speed knobs: same seed, same winner, same
-  cost, same config fingerprint (the mapping-cache key).
+* **Outcome invariance** — ``use_delta`` and ``eval_batch_size`` are pure
+  speed knobs: same seed, same winner, same cost, same config fingerprint
+  (the mapping-cache key).
 * **Quality** — under an equal evaluation budget the guided search is never
   worse than random search on a spread of ResNet-50 layers (and strictly
   better on some).
-* **Store identity** — specs differing only in ``engine.kernel_backend``
-  share a spec fingerprint and therefore a result-store entry, mirroring
-  the established ``eval_batch_size`` rule.
+* **Store identity** — specs carrying the legacy ``engine.kernel_backend``
+  key (the removed evaluation-backend knob) parse to the same spec
+  fingerprint as specs without it, and therefore share a result-store
+  entry; budget-capped config fingerprints keep their legacy key too.
 """
 
 import pytest
@@ -44,6 +45,11 @@ LOCAL_SEARCH_SPEC = {
         "options": {"max_evaluations": 200, "init_samples": 32},
     },
 }
+
+
+#: ``spec_fingerprint`` of LOCAL_SEARCH_SPEC as computed before the
+#: evaluation-backend knob was removed (with or without the key).
+LEGACY_SPEC_FINGERPRINT = "07758c2890a0cd9e86f92886d9b7ec23c13c0f9c01f8a36b7fd6d1083a4e8599"
 
 
 def small_scheduler(**overrides):
@@ -77,13 +83,13 @@ class TestEndToEnd:
         assert result.data["succeeded"] is True
         assert result.data["outcomes"][0]["scheduler"] == "local-search"
 
-    def test_respects_engine_kernel_backend_spec(self):
+    def test_runs_a_spec_with_the_legacy_kernel_backend_key(self):
         spec = RunSpec.from_dict(
-            {**LOCAL_SEARCH_SPEC, "engine": {"kernel_backend": "numpy"}}
+            {**LOCAL_SEARCH_SPEC, "engine": {"kernel_backend": "numba"}}
         )
         result = run(spec)
         assert result.data["succeeded"] is True
-        assert result.artifacts["scheduler"].kernel_backend == "numpy"
+        assert not hasattr(result.artifacts["scheduler"], "kernel_backend")
 
 
 class TestOutcomeInvariance:
@@ -100,14 +106,13 @@ class TestOutcomeInvariance:
         assert with_delta.config_fingerprint() == without.config_fingerprint()
         assert "use_delta" not in with_delta._config()
 
-    def test_batch_size_and_backend_do_not_change_the_winner(self):
+    def test_batch_size_does_not_change_the_winner(self):
         layer = layer_from_name("3_14_32_64_1")
         reference = small_scheduler().schedule(layer)
         for overrides in (
+            {"eval_batch_size": 1},  # scalar reference path
             {"eval_batch_size": 8},
             {"eval_batch_size": 256},
-            {"kernel_backend": "numba"},  # falls back to numpy when absent
-            {"kernel_backend": "off"},  # plain batched / scalar path
         ):
             result = small_scheduler(**overrides).schedule(layer)
             assert mapping_to_dict(result.mapping) == mapping_to_dict(reference.mapping), overrides
@@ -115,18 +120,23 @@ class TestOutcomeInvariance:
 
     def test_fingerprint_ignores_execution_knobs_when_budget_free(self):
         reference = small_scheduler().config_fingerprint()
-        assert small_scheduler(kernel_backend="numba").config_fingerprint() == reference
         assert small_scheduler(eval_batch_size=16).config_fingerprint() == reference
         # Result-determining knobs do split the fingerprint.
         assert small_scheduler(seed=9).config_fingerprint() != reference
         assert small_scheduler(moves_per_step=4).config_fingerprint() != reference
 
     def test_fingerprint_includes_backend_under_a_time_budget(self):
-        # With a wall-clock budget the backend changes how far the search
-        # gets, so it becomes result-determining — exactly like batch size.
+        # Budget-capped fingerprints keep the legacy ``kernel_backend`` key
+        # with its old default value, so stored entries keep hitting.  The
+        # string is pinned to the one earlier releases wrote.
         budgeted = small_scheduler(time_budget_seconds=60.0)
-        other = small_scheduler(time_budget_seconds=60.0, kernel_backend="numba")
-        assert budgeted.config_fingerprint() != other.config_fingerprint()
+        assert budgeted.config_fingerprint() == (
+            '{"eval_batch_size":null,"init_samples":64,"kernel_backend":"numpy",'
+            '"max_evaluations":400,"metric":"latency","moves_per_step":8,'
+            '"perturbation":0.1,"restart_after":30,"seed":3,'
+            '"time_budget_seconds":60.0,"utilization_target":0.5,'
+            '"weight_increment":1.0,"weight_transfer":0.2}'
+        )
 
 
 class TestBeatsRandomAtEqualBudget:
@@ -153,11 +163,13 @@ class TestBeatsRandomAtEqualBudget:
 class TestSpecAndStoreIdentity:
     def test_engine_spec_serialization_is_legacy_identical_when_unset(self):
         assert "kernel_backend" not in EngineSpec().to_dict()
-        roundtrip = EngineSpec.from_dict({"kernel_backend": "numba"})
-        assert roundtrip.kernel_backend == "numba"
-        assert roundtrip.to_dict()["kernel_backend"] == "numba"
-        with pytest.raises(ValueError, match="kernel_backend must be one of"):
-            EngineSpec(kernel_backend="cuda")
+        # The legacy key is accepted and dropped, whatever its value.
+        for value in ("numpy", "numba", "off"):
+            legacy = EngineSpec.from_dict({"kernel_backend": value})
+            assert legacy == EngineSpec()
+            assert "kernel_backend" not in legacy.to_dict()
+        with pytest.raises(TypeError):
+            EngineSpec(kernel_backend="numpy")
 
     def test_spec_fingerprint_ignores_kernel_backend(self):
         base = RunSpec.from_dict(LOCAL_SEARCH_SPEC)
@@ -169,6 +181,8 @@ class TestSpecAndStoreIdentity:
         )
         assert spec_fingerprint(base) == spec_fingerprint(numpy_spec)
         assert spec_fingerprint(base) == spec_fingerprint(numba_spec)
+        # Pinned: the fingerprint earlier releases computed for this spec.
+        assert spec_fingerprint(numba_spec) == LEGACY_SPEC_FINGERPRINT
 
     def test_backend_switch_is_a_store_hit(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -191,21 +205,17 @@ class TestEngineOverride:
     def test_override_applies_to_budget_free_scheduler(self):
         scheduler = small_scheduler()
         before = scheduler.config_fingerprint()
-        SchedulingEngine(scheduler, kernel_backend="numba")
-        assert scheduler.kernel_backend == "numba"
+        SchedulingEngine(scheduler, batch_size=16)
+        assert scheduler.eval_batch_size == 16
         assert scheduler.config_fingerprint() == before
 
     def test_refuses_to_rekey_budget_capped_scheduler(self):
-        scheduler = small_scheduler(time_budget_seconds=1.0)
+        scheduler = small_scheduler(time_budget_seconds=1.0, eval_batch_size=64)
         with pytest.raises(ValueError, match="budget-capped"):
-            SchedulingEngine(scheduler, kernel_backend="numba")
-        # A no-op override (same resolved value) is allowed.
-        SchedulingEngine(scheduler, kernel_backend="numpy")
-        assert scheduler.kernel_backend == "numpy"
-
-    def test_engine_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            SchedulingEngine(small_scheduler(), kernel_backend="cuda")
+            SchedulingEngine(scheduler, batch_size=16)
+        # A no-op override (same value) is allowed.
+        SchedulingEngine(scheduler, batch_size=64)
+        assert scheduler.eval_batch_size == 64
 
 
 class TestKnobValidation:

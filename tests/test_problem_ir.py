@@ -52,13 +52,6 @@ from repro.workloads.problem import (
     matmul,
 )
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
 
 def conv7_layer(layer: Layer) -> ProblemLayer:
     """The explicit CONV7 ProblemLayer equivalent of a conv ``Layer``."""
@@ -106,7 +99,6 @@ class TestConvParity:
                     assert cost_a.energy == cost_b.energy
                     assert cost_a.utilization == cost_b.utilization
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy required for the batched model")
     def test_batched_results_are_bit_identical(self):
         from repro.model.batch import BatchCostModel, MappingBatch
 
@@ -179,7 +171,6 @@ class TestEverySchedulerOnEveryProblem:
             "tvm": {"trials": 8, "batch_size": 4, "eval_batch_size": 8},
         }.get(name, {})
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy required for the batched model")
     def test_batched_fast_path_matches_oracle_on_new_problems(self):
         from repro.model.batch import BatchCostModel, MappingBatch
 
