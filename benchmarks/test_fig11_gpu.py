@@ -34,7 +34,7 @@ def test_fig11_gpu_comparison(benchmark):
     )
     print(f"time-to-solution ratio (TVM / CoSA): {comparison.time_to_solution_ratio:.1f}x")
 
-    # Paper shape: CoSA is at least competitive with the iterative tuner
-    # (1.10x geomean there) while producing its schedule in one shot.
-    assert comparison.geomean_speedup > 0.7
+    # Paper ordering: CoSA beats the iterative tuner (1.10x geomean there)
+    # while producing its schedule in one shot.
+    assert comparison.geomean_speedup > 1.0
     assert all(r.cosa_latency < float("inf") for r in comparison.rows)

@@ -7,8 +7,9 @@ loops at the NoC-facing levels:
 
 * :mod:`repro.core.constants` — the relevance matrices ``A`` (dimension ->
   tensor) and ``B`` (memory level -> tensor) of Table IV,
-* :mod:`repro.core.variables` — the binary decision matrix ``X``, the
-  permutation ranks and the auxiliary traffic variables,
+* :mod:`repro.core.variables` — the decision matrix ``X`` (how many copies
+  of each (dimension, prime) factor sit in each slot), the permutation
+  ranks and the auxiliary traffic variables,
 * :mod:`repro.core.constraints` — buffer-capacity and spatial-resource
   constraints (Sec. III-C),
 * :mod:`repro.core.objectives` — utilization, compute and traffic objectives

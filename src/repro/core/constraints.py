@@ -1,9 +1,10 @@
 """Constraints of the CoSA MIP (Sec. III-C of the paper).
 
-Five groups:
+Four groups, over the per-slot multiplicities ``n`` of each (dimension,
+prime) factor (see :mod:`repro.core.variables`):
 
-* **assignment** — every prime factor occupies exactly one (level, kind)
-  slot (the intent of Eq. 3),
+* **assignment** — the copies of every prime factor are spread over the
+  (level, kind) slots, ``sum(n) = count`` (the intent of Eq. 3),
 * **spatial resources** — the product of the factors mapped spatially at a
   level may not exceed its fanout (Eq. 4, in logarithms),
 * **buffer capacity** — the per-tensor tile built from the factors below a
@@ -13,10 +14,10 @@ Five groups:
   temporal factors take exactly one permutation rank, ranks hold at most one
   dimension and are used contiguously; the running-OR variables ``Y`` obey
   Eq. 9 and the per-(tensor, dimension) contributions linearise the
-  traffic-iteration term of Eq. 10,
-* **symmetry breaking** — interchangeable prime factors (same dimension and
-  value) are forced into a canonical order, which shrinks the
-  branch-and-bound tree without excluding any distinct schedule.
+  traffic-iteration term of Eq. 10.
+
+Interchangeable copies of one prime are a single integer per slot, so the
+formulation has no symmetric duplicates of a schedule to break.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from repro.workloads.layer import TensorKind
 
 
 def add_assignment_constraints(model: MIPModel, variables: CoSAVariables) -> None:
-    """Each prime factor is assigned to exactly one (memory level, kind) slot."""
+    """Every copy of each prime factor is assigned to one (memory level, kind) slot."""
     for factor in variables.factors:
         model.add_constraint(
-            lin_sum(variables.assignment_vars(factor)) == 1,
-            name=f"assign[{factor.dim}{factor.ordinal}]",
+            lin_sum(variables.assignment_vars(factor)) == factor.count,
+            name=f"assign[{factor.dim}={factor.value}]",
         )
 
 
@@ -116,15 +117,16 @@ def add_permutation_constraints(model: MIPModel, variables: CoSAVariables) -> No
         rank_sum = lin_sum(
             variables.rank[(dim, slot)] for slot in range(variables.num_ranks)
         )
-        outer_factors = [
-            variables.temporal_at(factor, noc_level) for factor in variables.factors_of_dim(dim)
-        ]
+        factors = variables.factors_of_dim(dim)
+        outer_counts = [variables.temporal_at(factor, noc_level) for factor in factors]
         model.add_constraint(rank_sum <= 1, name=f"one_rank[{dim}]")
         model.add_constraint(
-            rank_sum <= lin_sum(outer_factors), name=f"rank_only_if_outer[{dim}]"
+            rank_sum <= lin_sum(outer_counts), name=f"rank_only_if_outer[{dim}]"
         )
-        for outer in outer_factors:
-            model.add_constraint(rank_sum >= outer.to_expr(), name=f"rank_if_outer[{dim}]")
+        for factor, outer in zip(factors, outer_counts):
+            model.add_constraint(
+                factor.count * rank_sum >= outer.to_expr(), name=f"rank_if_outer[{dim}]"
+            )
 
     slot_occupancy = [
         lin_sum(variables.rank[(dim, slot)] for dim in variables.active_dims)
@@ -181,24 +183,6 @@ def add_traffic_linking_constraints(model: MIPModel, variables: CoSAVariables) -
             )
 
 
-def add_symmetry_breaking_constraints(model: MIPModel, variables: CoSAVariables) -> None:
-    """Order interchangeable prime factors canonically.
-
-    Two factors with the same dimension and the same prime value produce
-    identical schedules under exchange; forcing their slot codes to be
-    non-decreasing along the run eliminates the duplicated branches without
-    excluding any distinct schedule.
-    """
-    for run in variables.identical_factor_runs():
-        for first, second in zip(run, run[1:]):
-            first_code = lin_sum(code * var for code, var in variables.slot_catalogue(first))
-            second_code = lin_sum(code * var for code, var in variables.slot_catalogue(second))
-            model.add_constraint(
-                first_code <= second_code,
-                name=f"sym_slot[{first.dim}{first.ordinal}<={second.ordinal}]",
-            )
-
-
 def add_all_constraints(
     model: MIPModel,
     variables: CoSAVariables,
@@ -210,4 +194,3 @@ def add_all_constraints(
     add_buffer_capacity_constraints(model, variables, capacity_fraction)
     add_permutation_constraints(model, variables)
     add_traffic_linking_constraints(model, variables)
-    add_symmetry_breaking_constraints(model, variables)

@@ -2,8 +2,9 @@
 
 Decoding rules
 --------------
-* A factor whose spatial assignment variable is 1 becomes a ``spatial_for``
-  loop at that level.
+* Every slot's multiplicity ``n`` of a prime factor expands into ``n``
+  loops of that prime.
+* Spatial copies of a factor become ``spatial_for`` loops at their level.
 * Temporal factors at levels **below** the NoC boundary become temporal loops
   at their level; within a level they are ordered by a stationarity
   heuristic — loops irrelevant to the level's resident tensor are placed
@@ -48,7 +49,7 @@ def _order_inner_level(
         relevant = (
             is_relevant(factor.dim, primary, problem) if primary is not None else False
         )
-        return (1 if relevant else 0, canonical[factor.dim], factor.ordinal)
+        return (1 if relevant else 0, canonical[factor.dim], factor.index)
 
     return sorted(factors, key=key)
 
@@ -73,32 +74,28 @@ def decode_solution(variables: CoSAVariables, solution: Solution) -> Mapping:
     outer_temporal: list[PrimeFactor] = []
 
     for factor in variables.factors:
-        assigned = False
+        placed = 0
         for level in variables.temporal_levels:
-            if solution.rounded(variables.temporal_at(factor, level)) == 1:
-                if level == noc_level:
-                    outer_temporal.append(factor)
-                else:
-                    inner_temporal[level].append(factor)
-                assigned = True
-                break
-        if assigned:
-            continue
+            copies = solution.rounded(variables.temporal_at(factor, level))
+            target = outer_temporal if level == noc_level else inner_temporal[level]
+            target.extend([factor] * copies)
+            placed += copies
         for level in variables.spatial_fanouts:
             var = variables.spatial_at(factor, level)
-            if var is not None and solution.rounded(var) == 1:
-                spatial_loops[level].append(Loop(dim=factor.dim, bound=factor.value, spatial=True))
-                assigned = True
-                break
-        if not assigned:
+            copies = solution.rounded(var) if var is not None else 0
+            spatial_loops[level].extend(
+                [Loop(dim=factor.dim, bound=factor.value, spatial=True)] * copies
+            )
+            placed += copies
+        if placed != factor.count:
             raise ValueError(
-                f"prime factor {factor.dim}{factor.ordinal}={factor.value} has no assignment "
-                "in the solution"
+                f"prime factor {factor.dim}={factor.value} has {placed} of its "
+                f"{factor.count} copies assigned in the solution"
             )
 
     outer_sorted = sorted(
         outer_temporal,
-        key=lambda f: (_dim_rank(variables, solution, f.dim), f.ordinal),
+        key=lambda f: (_dim_rank(variables, solution, f.dim), f.index),
     )
 
     level_mappings: list[LevelMapping] = []

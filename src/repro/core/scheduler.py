@@ -91,6 +91,9 @@ class CoSAScheduler:
     #: Successive deratings tried when the decoded mapping overflows a buffer
     #: under the cost model's exact (halo- and sharing-aware) accounting.
     FALLBACK_FRACTIONS = (0.5, 0.3)
+    #: Names the MIP encoding in the mapping-cache key, so mappings persisted
+    #: by an earlier formulation miss instead of being served as fresh solves.
+    FORMULATION = "prime-multiplicity"
 
     def __init__(
         self,
@@ -185,7 +188,8 @@ class CoSAScheduler:
 
         The backend enters with its class name and every scalar attribute it
         carries (time limits, gaps, node budgets, ...), so two schedulers
-        with differently-budgeted backends never share a cache key.
+        with differently-budgeted backends never share a cache key; the
+        :attr:`FORMULATION` tag does the same across MIP encodings.
         """
         backend_config = {
             name: value
@@ -200,6 +204,7 @@ class CoSAScheduler:
             },
             "capacity_fraction": self.capacity_fraction,
             "fallback_fractions": list(self.FALLBACK_FRACTIONS),
+            "formulation": self.FORMULATION,
             "backend": type(self.backend).__name__,
             "backend_config": backend_config,
         }

@@ -3,9 +3,16 @@
 The scheduling space is encoded as a prime-factor allocation problem
 (Sec. III-B of the paper):
 
-* every prime factor of every loop bound becomes a :class:`PrimeFactor`,
-* the binary matrix ``X`` assigns each factor to one (memory level,
-  spatial/temporal) slot.  Temporal slots exist at every level up to and
+* the prime factors of every loop bound are grouped by (dimension, prime):
+  each group is one :class:`PrimeFactor` carrying its multiplicity
+  ``count`` (64 = 2^6 is one factor with count 6).  The factors of a group
+  are interchangeable, so the formulation only decides *how many* of them
+  go where,
+* the integer matrix ``X`` holds, per factor and per (memory level,
+  spatial/temporal) slot, that number ``n`` in ``[0, count]``; spatial
+  slots are further capped at ``floor(log fanout / log prime)``.  Every
+  CoSA expression is linear in ``log(prime) * n``, exactly as with one 0/1
+  variable per prime.  Temporal slots exist at every level up to and
   including the NoC boundary (the global buffer); loops above that boundary
   are equivalent for every cost the models measure, so the redundant DRAM
   temporal slots are dropped to shrink the search space,
@@ -25,6 +32,7 @@ The scheduling space is encoded as a prime-factor allocation problem
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.arch.accelerator import Accelerator
@@ -36,7 +44,7 @@ from repro.workloads.prime import factorize
 
 @dataclass(frozen=True)
 class PrimeFactor:
-    """One prime factor of one layer dimension.
+    """One distinct prime of one layer dimension and its multiplicity.
 
     Attributes
     ----------
@@ -44,15 +52,15 @@ class PrimeFactor:
         Layer dimension name.
     value:
         The prime value.
-    ordinal:
-        Position among the factors of the same dimension.
+    count:
+        How many times ``value`` divides the dimension's bound.
     index:
         Global index across all factors (used to key variables).
     """
 
     dim: str
     value: int
-    ordinal: int
+    count: int
     index: int
 
     @property
@@ -122,21 +130,32 @@ class CoSAVariables:
     def _enumerate_factors(layer: Layer) -> list[PrimeFactor]:
         factors: list[PrimeFactor] = []
         for dim in layer.problem.dims:
-            for ordinal, prime in enumerate(factorize(layer.bound(dim))):
-                factors.append(PrimeFactor(dim=dim, value=prime, ordinal=ordinal, index=len(factors)))
+            for prime, count in sorted(Counter(factorize(layer.bound(dim))).items()):
+                factors.append(PrimeFactor(dim=dim, value=prime, count=count, index=len(factors)))
         return factors
+
+    @staticmethod
+    def _spatial_cap(factor: PrimeFactor, fanout: int) -> int:
+        """Most copies of ``factor`` one spatial level of ``fanout`` can hold."""
+        cap = 0
+        while cap < factor.count and factor.value ** (cap + 1) <= fanout:
+            cap += 1
+        return cap
 
     # --------------------------------------------------------------- variables
     def _create_assignment_variables(self) -> None:
         for factor in self.factors:
             for level in self.temporal_levels:
-                name = f"X_t[{factor.dim}{factor.ordinal}={factor.value},L{level}]"
-                self.x_temporal[(factor.index, level)] = self.model.add_binary(name)
+                name = f"X_t[{factor.dim}={factor.value}^{factor.count},L{level}]"
+                self.x_temporal[(factor.index, level)] = self.model.add_integer(
+                    name, upper=factor.count
+                )
             for level, fanout in self.spatial_fanouts.items():
-                if factor.value > fanout:
+                cap = self._spatial_cap(factor, fanout)
+                if cap == 0:
                     continue
-                name = f"X_s[{factor.dim}{factor.ordinal}={factor.value},L{level}]"
-                self.x_spatial[(factor.index, level)] = self.model.add_binary(name)
+                name = f"X_s[{factor.dim}={factor.value}^{factor.count},L{level}]"
+                self.x_spatial[(factor.index, level)] = self.model.add_integer(name, upper=cap)
 
     def _create_permutation_variables(self) -> None:
         for dim in self.active_dims:
@@ -161,7 +180,7 @@ class CoSAVariables:
 
     # ----------------------------------------------------------------- queries
     def assignment_vars(self, factor: PrimeFactor) -> list[Variable]:
-        """Every (level, kind) assignment variable of ``factor``."""
+        """Every (level, kind) multiplicity variable of ``factor``."""
         variables = [self.x_temporal[(factor.index, level)] for level in self.temporal_levels]
         variables += [
             self.x_spatial[(factor.index, level)]
@@ -170,35 +189,16 @@ class CoSAVariables:
         ]
         return variables
 
-    def slot_catalogue(self, factor: PrimeFactor) -> list[tuple[int, Variable]]:
-        """The factor's assignment variables paired with a canonical slot code.
-
-        Temporal slots are numbered by level; spatial slots follow.  The codes
-        are used by the symmetry-breaking constraints to order interchangeable
-        (same dimension, same prime) factors.
-        """
-        catalogue: list[tuple[int, Variable]] = []
-        code = 0
-        for level in self.temporal_levels:
-            catalogue.append((code, self.x_temporal[(factor.index, level)]))
-            code += 1
-        for level in sorted(self.spatial_fanouts):
-            var = self.x_spatial.get((factor.index, level))
-            if var is not None:
-                catalogue.append((code, var))
-            code += 1
-        return catalogue
-
     def temporal_at(self, factor: PrimeFactor, level: int) -> Variable:
-        """The temporal assignment variable of ``factor`` at ``level``."""
+        """How many copies of ``factor`` are temporal loops at ``level``."""
         return self.x_temporal[(factor.index, level)]
 
     def spatial_at(self, factor: PrimeFactor, level: int) -> Variable | None:
-        """The spatial assignment variable of ``factor`` at ``level`` (``None`` if disallowed)."""
+        """How many copies of ``factor`` are spatial at ``level`` (``None`` if none fit)."""
         return self.x_spatial.get((factor.index, level))
 
     def factors_of_dim(self, dim: str) -> list[PrimeFactor]:
-        """All prime factors belonging to layer dimension ``dim``."""
+        """The distinct prime factors of layer dimension ``dim``."""
         return [f for f in self.factors if f.dim == dim]
 
     def outer_log_expression(self, dim: str):
@@ -209,13 +209,6 @@ class CoSAVariables:
             factor.log_value * self.temporal_at(factor, self.noc_level)
             for factor in self.factors_of_dim(dim)
         )
-
-    def identical_factor_runs(self) -> list[list[PrimeFactor]]:
-        """Groups of interchangeable factors (same dimension and prime value)."""
-        runs: dict[tuple[str, int], list[PrimeFactor]] = {}
-        for factor in self.factors:
-            runs.setdefault((factor.dim, factor.value), []).append(factor)
-        return [run for run in runs.values() if len(run) > 1]
 
     @property
     def num_variables(self) -> int:

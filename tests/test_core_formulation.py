@@ -8,6 +8,7 @@ import pytest
 from repro.arch import simba_like
 from repro.core.constants import is_relevant, relevance_matrix, relevant_dims, storage_matrix
 from repro.core.constraints import add_all_constraints
+from repro.core.decode import decode_solution
 from repro.core.formulation import CoSAFormulation
 from repro.core.objectives import (
     ObjectiveWeights,
@@ -17,8 +18,10 @@ from repro.core.objectives import (
     mapping_utilization,
 )
 from repro.core.variables import CoSAVariables
+from repro.solver.expr import VarKind
 from repro.solver.model import MIPModel
-from repro.solver.solution import SolveStatus
+from repro.solver.scipy_backend import ScipyMilpBackend
+from repro.solver.solution import Solution, SolveStatus
 from repro.workloads import Layer, layer_from_name
 from repro.workloads.layer import DIMENSION_NAMES, TensorKind
 
@@ -57,10 +60,30 @@ class TestVariables:
         layer = Layer(r=3, s=3, p=4, q=4, c=8, k=16, n=1)
         model = MIPModel()
         variables = CoSAVariables(model, layer, ARCH)
-        # 1 + 1 + 2 + 2 + 3 + 4 + 0 prime factors.
-        assert len(variables.factors) == 13
-        assert len(variables.factors_of_dim("K")) == 4
+        # One group per (dimension, prime): 1 + 1 + 2 + 2 + 3 + 4 = 13 primes.
+        counts = {f.dim: (f.value, f.count) for f in variables.factors}
+        assert counts == {
+            "R": (3, 1), "S": (3, 1), "P": (2, 2), "Q": (2, 2), "C": (2, 3), "K": (2, 4)
+        }
+        assert sum(f.count for f in variables.factors) == 13
+        assert len(variables.factors_of_dim("K")) == 1
         assert all(f.log_value == pytest.approx(math.log(f.value)) for f in variables.factors)
+        for factor in variables.factors:
+            for var in variables.assignment_vars(factor):
+                assert var.kind == VarKind.INTEGER
+                assert var.lower == 0
+            for level in variables.temporal_levels:
+                assert variables.temporal_at(factor, level).upper == factor.count
+
+    def test_spatial_slots_are_capped_by_fanout(self):
+        # 2^6 on a 4x4 = 16-PE level: at most four copies of 2 fit.
+        layer = Layer(k=64)
+        variables = CoSAVariables(MIPModel(), layer, ARCH)
+        (two,) = variables.factors_of_dim("K")
+        assert two.count == 6
+        for level, fanout in variables.spatial_fanouts.items():
+            cap = int(variables.spatial_at(two, level).upper)
+            assert cap == min(6, int(math.log2(fanout)))
 
     def test_spatial_variables_respect_fanout(self):
         # A prime factor of 7 cannot be mapped across a 4x4=16-PE array level
@@ -85,18 +108,80 @@ class TestVariables:
         assert variables.active_dims == ["P", "K"]
         assert variables.num_ranks == 2
 
-    def test_identical_factor_runs(self):
-        layer = Layer(c=8)  # three factors of 2
-        variables = CoSAVariables(MIPModel(), layer, ARCH)
-        runs = variables.identical_factor_runs()
-        assert len(runs) == 1
-        assert len(runs[0]) == 3
-
     def test_variable_count_matches_registry(self):
         layer = Layer(p=4, c=4, k=4)
         model = MIPModel()
         variables = CoSAVariables(model, layer, ARCH)
         assert variables.num_variables == model.num_variables
+
+
+class TestDecode:
+    def _variables(self):
+        return CoSAVariables(MIPModel(), Layer(k=16), ARCH)
+
+    def test_count_split_across_two_slots_expands_into_loops(self):
+        variables = self._variables()
+        (two,) = variables.factors_of_dim("K")
+        noc = variables.noc_level
+        solution = Solution(
+            status=SolveStatus.OPTIMAL,
+            values={
+                variables.temporal_at(two, 0): 1.0,
+                variables.temporal_at(two, noc): 3.0,
+                variables.rank[("K", 0)]: 1.0,
+            },
+        )
+        mapping = decode_solution(variables, solution)
+        assert [(loop.dim, loop.bound) for loop in mapping.levels[0].temporal] == [("K", 2)]
+        assert [(loop.dim, loop.bound) for loop in mapping.levels[noc].temporal] == [("K", 2)] * 3
+        assert all(not level.spatial for level in mapping.levels)
+
+    def test_spatial_copies_merge_into_one_loop(self):
+        variables = self._variables()
+        (two,) = variables.factors_of_dim("K")
+        level = ARCH.pe_level_index()
+        solution = Solution(
+            status=SolveStatus.OPTIMAL,
+            values={variables.spatial_at(two, level): 4.0},
+        )
+        mapping = decode_solution(variables, solution)
+        assert [(loop.dim, loop.bound) for loop in mapping.levels[level].spatial] == [("K", 16)]
+
+    def test_incomplete_count_is_rejected(self):
+        variables = self._variables()
+        (two,) = variables.factors_of_dim("K")
+        solution = Solution(
+            status=SolveStatus.OPTIMAL, values={variables.temporal_at(two, 0): 3.0}
+        )
+        with pytest.raises(ValueError, match="3 of its 4 copies"):
+            decode_solution(variables, solution)
+
+
+#: Proven optima (``mip_rel_gap=0``, capacity fraction 0.8, ``baseline-4x4``)
+#: of the formulation with one 0/1 assignment variable per prime and
+#: lexicographic symmetry breaking.  The multiplicity encoding spans the same
+#: mappings with the same objective, so it must reach the same values.
+PER_PRIME_OPTIMA = [
+    (layer_from_name("3_4_8_16_1"), 25.034809148),
+    (layer_from_name("1_8_16_32_1"), 27.864516659),
+    (layer_from_name("1_1_64_64_1"), 17.46730895),
+    (Layer(r=3, p=4, c=8, k=8), 9.186232797),  # S = Q = 1
+    (layer_from_name("1_7_32_64_1"), 33.961779725),
+    (layer_from_name("3_14_16_16_2"), 41.806538796),
+    (layer_from_name("1_56_64_64_1"), 61.442212397),  # ResNet-50
+    (layer_from_name("1_7_512_2048_1"), 69.173656498),  # ResNet-50
+]
+
+
+@pytest.mark.parametrize(
+    "layer, optimum", PER_PRIME_OPTIMA, ids=[layer.canonical_name for layer, _ in PER_PRIME_OPTIMA]
+)
+def test_gap_zero_optimum_matches_the_per_prime_encoding(layer, optimum):
+    formulation = CoSAFormulation(layer, ARCH, capacity_fraction=0.8)
+    solution = formulation.solve(ScipyMilpBackend(mip_rel_gap=0.0))
+    assert solution.status is SolveStatus.OPTIMAL
+    assert solution.objective == pytest.approx(optimum, abs=1e-6)
+    assert formulation.decode(solution).is_consistent()
 
 
 class TestFormulationSolutions:

@@ -53,6 +53,19 @@ class TestCoSAScheduler:
         assert cost.valid, cost.violations
         assert result.mapping.total_spatial_product() >= 64
 
+    def test_fingerprint_names_the_formulation(self):
+        # Mapping caches written before the multiplicity encoding stored this
+        # key part; it must no longer match, so those entries miss.
+        per_prime = (
+            '{"backend":"ScipyMilpBackend","backend_config":{"mip_rel_gap":0.02,'
+            '"time_limit_seconds":20.0},"capacity_fraction":0.8,'
+            '"fallback_fractions":[0.5,0.3],'
+            '"weights":{"compute":4.0,"traffic":1.0,"utilization":0.2}}'
+        )
+        fingerprint = CoSAScheduler(ARCH).config_fingerprint()
+        assert fingerprint != per_prime
+        assert '"formulation":"prime-multiplicity"' in fingerprint
+
     def test_custom_weights_change_schedules(self):
         layer = Layer(p=8, c=16, k=16)
         compute_heavy = CoSAScheduler(
