@@ -7,8 +7,9 @@ Sec. IV-B of the paper: every (simulated) thread repeatedly
 2. **prunes superfluous permutations** — only the relative order of the
    NoC-facing loops materially changes the cost, and loops over the same
    dimension are merged before permuting,
-3. **linearly explores** the pruned permutation subspace, evaluating each
-   valid mapping with the analytical cost model,
+3. **linearly explores** the pruned permutation subspace with the analytical
+   cost model, scoring ``eval_batch_size`` candidates drawn across
+   factorisations per vectorized call and materializing only the winner,
 
 and self-terminates after a run of ``termination_condition`` consecutive
 valid-yet-suboptimal mappings.  The best mapping over all threads is
@@ -28,8 +29,7 @@ from itertools import islice, permutations
 
 from repro.arch.accelerator import Accelerator
 from repro.baselines.base import SearchResult, SearchScheduler, stable_layer_seed
-from repro.mapping.mapping import LevelMapping, Loop, Mapping
-from repro.mapping.space import MapSpace
+from repro.mapping.space import MappingDraws, MapSpace
 from repro.model.cost import CostModel
 from repro.workloads.layer import Layer
 
@@ -56,12 +56,12 @@ class TimeloopHybridScheduler(SearchScheduler):
     seed:
         Base seed for the random factorisations.
     eval_batch_size / time_budget_seconds:
-        See :class:`~repro.baselines.base.SearchScheduler`.  Each pruned
-        permutation sweep is the natural evaluation batch; the wall-clock
-        budget is checked once per drawn factorisation in both the scalar
-        and the batched path.  How many factorisations a budget buys still
-        depends on machine and evaluation speed, so budget-capped outcomes
-        are time-dependent.
+        See :class:`~repro.baselines.base.SearchScheduler`.  A batch holds
+        ``eval_batch_size`` candidates across factorisations' sweeps; a
+        thread over-draws at most one batch past its stop and drops it.
+        Stopping rule, evaluation cap and wall-clock budget are checked per
+        factorisation and per evaluation; budget-capped outcomes still
+        depend on machine and evaluation speed.
     """
 
     name = "timeloop-hybrid"
@@ -83,6 +83,8 @@ class TimeloopHybridScheduler(SearchScheduler):
             eval_batch_size=eval_batch_size,
             time_budget_seconds=time_budget_seconds,
         )
+        if max_permutations < 1:
+            raise ValueError(f"max_permutations must be >= 1, got {max_permutations}")
         self.accelerator = accelerator
         self.num_threads = num_threads
         self.termination_condition = termination_condition
@@ -122,7 +124,7 @@ class TimeloopHybridScheduler(SearchScheduler):
         space = MapSpace(layer, self.accelerator)
         noc_level = self.accelerator.pe_level_index()
 
-        best_mapping = None
+        best_draws, best_index = None, 0
         best_score = float("inf")
         sampled = 0
         evaluated = 0
@@ -131,6 +133,7 @@ class TimeloopHybridScheduler(SearchScheduler):
             if self._out_of_time(deadline):
                 break
             rng = random.Random(stable_layer_seed(self.seed, layer.canonical_name, thread))
+            sweeps = self._scored_sweeps(space, noc_level, rng)
             consecutive_suboptimal = 0
             thread_best = float("inf")
             while (
@@ -138,29 +141,28 @@ class TimeloopHybridScheduler(SearchScheduler):
                 and evaluated < self.max_evaluations
                 and not self._out_of_time(deadline)
             ):
-                base = space.random_mapping(rng)
+                draws, rows, valid, scores = next(sweeps)
                 sampled += 1
-                for candidate, ok, score in self._scored(
-                    self._permutation_sweep(base, noc_level, rng)
-                ):
+                for index in rows:
                     sampled += 1
-                    if not ok:
+                    if not valid[index]:
                         continue
                     evaluated += 1
-                    score = float(score)
+                    score = float(scores[index])
                     if score < thread_best:
                         thread_best = score
                         consecutive_suboptimal = 0
                     else:
                         consecutive_suboptimal += 1
                     if score < best_score:
-                        best_mapping, best_score = candidate, score
+                        best_draws, best_index, best_score = draws, index, score
                     if (
                         consecutive_suboptimal >= self.termination_condition
                         or evaluated >= self.max_evaluations
                     ):
                         break
 
+        best_mapping = best_draws.materialize(best_index) if best_draws is not None else None
         best_cost = self._cost_model.evaluate(best_mapping) if best_mapping is not None else None
         return SearchResult(
             mapping=best_mapping,
@@ -175,32 +177,30 @@ class TimeloopHybridScheduler(SearchScheduler):
         return [self.schedule(layer) for layer in layers]
 
     # ------------------------------------------------------------ permutations
-    def _permutation_sweep(self, base: Mapping, noc_level: int, rng: random.Random):
-        """Yield the base mapping under every (pruned) NoC-level loop permutation."""
-        merged = self._merged_outer_loops(base, noc_level)
-        if len(merged) <= 1:
-            yield base
-            return
-        orders = list(islice(permutations(merged), self.max_permutations * 4))
-        rng.shuffle(orders)
-        for order in orders[: self.max_permutations]:
-            yield self._with_outer_order(base, noc_level, list(order))
+    def _scored_sweeps(self, space: MapSpace, level: int, rng: random.Random):
+        """Yield ``(draws, rows, valid, scores)`` for one factorisation at a time.
 
-    @staticmethod
-    def _merged_outer_loops(mapping: Mapping, noc_level: int) -> list[Loop]:
-        """NoC-level temporal loops merged per dimension (permutation pruning)."""
-        merged: dict[str, int] = {}
-        for loop in mapping.levels[noc_level].temporal:
-            merged[loop.dim] = merged.get(loop.dim, 1) * loop.bound
-        return [Loop(dim=dim, bound=bound) for dim, bound in merged.items() if bound > 1]
-
-    @staticmethod
-    def _with_outer_order(mapping: Mapping, noc_level: int, order: list[Loop]) -> Mapping:
-        """Copy of ``mapping`` with the NoC-level temporal loops replaced by ``order``."""
-        levels = []
-        for index, level in enumerate(mapping.levels):
-            if index == noc_level:
-                levels.append(LevelMapping(temporal=list(order), spatial=list(level.spatial)))
-            else:
-                levels.append(LevelMapping(temporal=list(level.temporal), spatial=list(level.spatial)))
-        return Mapping(mapping.layer, levels)
+        ``rows`` indexes the factorisation's pruned sweep in ``draws``: one row
+        per explored order of its temporal loops at the NoC ``level`` (draws
+        come merged per dimension).  Sweeps are drawn until ``eval_batch_size``
+        rows are pending and scored together, so a caller that stops early
+        leaves at most one batch unread.
+        """
+        while True:
+            draws = MappingDraws(layer=space.layer, num_levels=space.num_levels)
+            sweeps = []
+            while len(draws) < (self.eval_batch_size or 1):
+                drawn = space.sample_batch(1, rng)
+                temporal, spatial = drawn.temporal[0], drawn.spatial[0]
+                orders = [temporal[level]]
+                if len(temporal[level]) > 1:
+                    orders = list(islice(permutations(temporal[level]), self.max_permutations * 4))
+                    rng.shuffle(orders)
+                    orders = orders[: self.max_permutations]
+                sweeps.append(range(len(draws), len(draws) + len(orders)))
+                for order in orders:
+                    draws.temporal.append(temporal[:level] + [list(order)] + temporal[level + 1 :])
+                    draws.spatial.append(spatial)
+            valid, scores = self._score_draws(draws)
+            for rows in sweeps:
+                yield draws, rows, valid, scores

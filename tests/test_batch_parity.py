@@ -221,3 +221,88 @@ class TestSearchParity:
             ARCH, seed=3, time_budget_seconds=1.0, eval_batch_size=256
         )
         assert scalar.config_fingerprint() != batched.config_fingerprint()
+
+
+class TestHybridBatchMatrix:
+    """Timeloop-Hybrid scores sweeps from many factorisations in one batch and
+    replays its stopping rule over the scores: every batch size must give the
+    scalar oracle's outcome, wherever in a batch a thread stops."""
+
+    BATCH_SIZES = (1, 2, 7, 64, 1000)
+
+    CASES = {
+        # Every thread is stopped by its termination window.
+        "termination-window": (
+            "3_7_64_64_1",
+            dict(num_threads=2, termination_condition=8, max_evaluations=10_000),
+        ),
+        # The global cap stops the first thread in the middle of a batch;
+        # the later threads draw nothing.
+        "max-evaluations": (
+            "1_14_256_256_1",
+            dict(num_threads=4, termination_condition=1000, max_evaluations=37),
+        ),
+        # One prime factor only: every sweep is a single candidate.
+        "single-candidate-sweeps": (
+            "1_1_1_2_1",
+            dict(num_threads=3, termination_condition=16, max_evaluations=500),
+        ),
+        "many-threads-energy": (
+            "3_28_128_128_2",
+            dict(
+                num_threads=5,
+                termination_condition=20,
+                max_evaluations=400,
+                metric="energy",
+                max_permutations=5,
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_batch_size_matches_scalar(self, case):
+        layer_name, kwargs = self.CASES[case]
+        layer = layer_from_name(layer_name)
+        scalar = TimeloopHybridScheduler(ARCH, seed=1, **kwargs).schedule(layer)
+        assert scalar.mapping is not None
+        if case == "termination-window":
+            assert scalar.num_evaluated < kwargs["max_evaluations"]
+        if case == "max-evaluations":
+            assert scalar.num_evaluated == kwargs["max_evaluations"]
+        if case == "single-candidate-sweeps":
+            # One factorisation plus its lone candidate per step.
+            assert scalar.num_sampled % 2 == 0
+        for batch_size in self.BATCH_SIZES:
+            batched = TimeloopHybridScheduler(
+                ARCH, seed=1, eval_batch_size=batch_size, **kwargs
+            ).schedule(layer)
+            TestSearchParity.assert_same_outcome(self, scalar, batched)
+
+    @pytest.mark.parametrize("batch_size", (None,) + BATCH_SIZES)
+    def test_zero_time_budget_returns_nothing(self, batch_size):
+        result = TimeloopHybridScheduler(
+            ARCH, num_threads=2, eval_batch_size=batch_size, time_budget_seconds=0.0
+        ).schedule(layer_from_name("3_7_64_64_1"))
+        assert result.mapping is None and result.cost is None
+        assert result.num_sampled == 0 and result.num_evaluated == 0
+
+    def test_rejects_empty_permutation_budget(self):
+        with pytest.raises(ValueError):
+            TimeloopHybridScheduler(ARCH, max_permutations=0)
+
+    # Measured with the one-sweep-per-batch search this one replaced, at the
+    # Table VI full budget (8 threads, 256-window, 8000 evaluations, seed 0).
+    TABLE6_FULL = {
+        "7_112_3_64_2": (5843, 3232, 150528.0),
+        "3_14_256_256_2": (5242, 3768, 200992.0),
+        "1_1_2048_1000_1": (3595, 2121, 256381.0),
+    }
+
+    @pytest.mark.parametrize("layer_name", sorted(TABLE6_FULL))
+    def test_table6_full_budget_counts_pinned(self, layer_name):
+        result = TimeloopHybridScheduler(
+            ARCH, num_threads=8, termination_condition=256, max_evaluations=8000,
+            seed=0, eval_batch_size=64,
+        ).schedule(layer_from_name(layer_name))
+        counts = (result.num_sampled, result.num_evaluated, result.cost.latency)
+        assert counts == self.TABLE6_FULL[layer_name]
