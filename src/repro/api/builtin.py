@@ -71,7 +71,7 @@ def _make_tvm(accelerator, **options):
 
 @schedulers.register(
     "local-search",
-    description="move-based local search with delta evaluation and DDFW-style weights",
+    description="lockstep move-based local search with batched scoring and DDFW-style weights",
 )
 def _make_local_search(accelerator, **options):
     from repro.baselines.local_search import LocalSearchScheduler

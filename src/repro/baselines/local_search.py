@@ -4,10 +4,6 @@ Instead of redrawing whole mappings, this scheduler walks the map space one
 *move* at a time — relocating a single prime factor between (level,
 temporal/spatial) slots, swapping two temporal loops, or flipping a factor
 between temporal and spatial at one level (:mod:`repro.mapping.moves`).
-Candidate moves are costed incrementally by the
-:class:`~repro.model.delta.DeltaEvaluator`, which re-derives only the
-per-level terms a move touches and is bit-identical to a full re-evaluation,
-so ``use_delta`` is purely a speed knob.
 
 Guidance borrows the *divide and distribute fixed weights* (DDFW) idea from
 SAT local search: each constraint group — buffer **capacity**, spatial
@@ -22,7 +18,23 @@ landscape until the violated constraints dominate and the search is pushed
 back into the feasible region; with a small ``perturbation`` probability the
 best proposal is committed anyway (random-walk escape).
 
-The final winner is always re-costed by the scalar
+Lockstep walkers
+----------------
+Per layer, :attr:`LocalSearchScheduler.WALKERS` independent walkers advance
+in lockstep, each with its own state, weights, reference cost, stall counter
+and restarts.  One step proposes every walker's neighbourhood (or, for a
+walker due to restart, its fresh batch of random draws), writes each
+candidate straight into flat factor rows, and scores all rows with **one**
+:class:`~repro.model.batch.CompiledKernel` call.  The kernel's detail view
+supplies what the guidance needs besides the masked cost: the unmasked
+latency/energy/utilization and the per-level buffer occupancy and spatial
+products the violation magnitudes are summed from.  Each walker then applies
+the accept, weight-transfer and perturbation rules above, in walker order,
+drawing from the one per-layer RNG.  The walkers start from the best
+distinct draws of one shared seed batch.
+
+Scoring always goes through the kernel, so ``eval_batch_size`` cannot
+change the outcome.  The final winner is re-costed by the scalar
 :class:`~repro.model.cost.CostModel` oracle.
 """
 
@@ -31,13 +43,16 @@ from __future__ import annotations
 import math
 import random
 import time
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.arch.accelerator import Accelerator
 from repro.baselines.base import SearchResult, SearchScheduler, stable_layer_seed
 from repro.mapping.moves import MappingState
 from repro.mapping.space import MapSpace
+from repro.model.batch import BatchRows
 from repro.model.cost import CostModel
-from repro.model.delta import DeltaCostResult, DeltaEvaluator
 from repro.workloads.layer import Layer
 
 #: Constraint groups carrying DDFW weights.
@@ -48,7 +63,7 @@ MIN_WEIGHT = 0.1
 
 
 class LocalSearchScheduler(SearchScheduler):
-    """Delta-evaluated local search guided by adaptive constraint weights.
+    """Lockstep local-search walkers guided by adaptive constraint weights.
 
     Parameters
     ----------
@@ -59,15 +74,16 @@ class LocalSearchScheduler(SearchScheduler):
     seed:
         Base seed; perturbed per layer like the other baselines.
     max_evaluations:
-        Total cost-evaluation budget per layer (initial samples plus one per
-        previewed move) — the unit for equal-budget comparisons against the
-        sampling baselines.
+        Total cost-evaluation budget per layer (seed and restart draws plus
+        one per scored move, over all walkers) — the unit for equal-budget
+        comparisons against the sampling baselines.
     init_samples:
-        Random draws scored to pick the starting state (the best valid draw,
-        else the first).
+        Random draws scored to seed the walkers (each takes one of the best
+        distinct draws) and, per restart, to pick the restarted walker's new
+        state (the best valid draw, else the first).
     moves_per_step:
-        Candidate moves previewed per step; the best by guidance is
-        committed when it improves on the current state.
+        Candidate moves scored per walker and step; the best by guidance is
+        committed when it improves on the walker's current state.
     weight_transfer / weight_increment:
         DDFW transfer rule: on a plateau every violated group receives
         ``weight_transfer * donor_weight + weight_increment`` from the
@@ -77,23 +93,25 @@ class LocalSearchScheduler(SearchScheduler):
         Probability of committing the best proposal on a plateau even though
         it worsens the guidance (random-walk escape).
     restart_after:
-        Steps without improving the best valid cost before the search
+        Steps without improving the best valid cost before a walker
         restarts from a fresh best-of-``init_samples`` seed with reset
         weights (escapes basins no single move leads out of).
     utilization_target:
         Soft lower bound on compute utilization; the shortfall
         ``max(0, target - utilization) / target`` is the violation of the
         ``"utilization"`` group.  ``0`` disables the group.
-    use_delta:
-        Cost proposals incrementally (default) or by full re-evaluation.
-        Both are bit-identical (enforced by the parity tests), so this knob
-        never changes the outcome and stays out of the fingerprint.
     eval_batch_size / time_budget_seconds:
-        See :class:`~repro.baselines.base.SearchScheduler`; they affect the
-        initial sampling phase exactly as in the other baselines.
+        See :class:`~repro.baselines.base.SearchScheduler`.  Every step is
+        scored in one kernel call whatever ``eval_batch_size`` says, so the
+        knob never changes the outcome; the time budget is checked once per
+        step.
     """
 
     name = "local-search"
+
+    #: Walkers advanced in lockstep per layer.  A constant of the algorithm
+    #: (it shapes every outcome), so it enters the config fingerprint.
+    WALKERS = 8
 
     def __init__(
         self,
@@ -108,7 +126,6 @@ class LocalSearchScheduler(SearchScheduler):
         perturbation: float = 0.1,
         restart_after: int = 30,
         utilization_target: float = 0.5,
-        use_delta: bool = True,
         eval_batch_size: int | None = None,
         time_budget_seconds: float | None = None,
     ):
@@ -141,12 +158,9 @@ class LocalSearchScheduler(SearchScheduler):
         self.perturbation = perturbation
         self.restart_after = restart_after
         self.utilization_target = utilization_target
-        self.use_delta = use_delta
         self._cost_model = CostModel(accelerator)
 
     def _config(self) -> dict:
-        # ``use_delta`` is deliberately absent: delta and full evaluation are
-        # bit-identical, so the knob cannot change the produced mapping.
         return {
             **super()._config(),
             "seed": self.seed,
@@ -158,85 +172,106 @@ class LocalSearchScheduler(SearchScheduler):
             "perturbation": self.perturbation,
             "restart_after": self.restart_after,
             "utilization_target": self.utilization_target,
+            "walkers": self.WALKERS,
         }
 
     # ----------------------------------------------------------------- search
     def schedule(self, layer: Layer) -> SearchResult:
-        """Run the weighted local search for ``layer``."""
+        """Run the lockstep weighted local search for ``layer``."""
         start = time.perf_counter()
         deadline = self._deadline(start)
+        if self._out_of_time(deadline):
+            return SearchResult(mapping=None, cost=None, elapsed_seconds=time.perf_counter() - start)
         rng = random.Random(stable_layer_seed(self.seed, layer.canonical_name))
         space = MapSpace(layer, self.accelerator)
-        fanouts = space.spatial_fanouts
+        kernel = self._batch_model().kernel_for(layer.problem)
 
-        evaluations = 0
-        best_state: MappingState | None = None
-        best_score = float("inf")
-        state = evaluator = current = None
-        ref = 1.0
-        weights = {group: 1.0 for group in CONSTRAINT_GROUPS}
-        stalled = 0
+        # Seed every walker from one shared batch: the best distinct draws,
+        # valid ones by score, then invalid ones in draw order.
+        draws = space.sample_batch(min(self.init_samples, self.max_evaluations), rng)
+        rows = BatchRows(layer, space.num_levels)
+        rows.add_draws(draws)
+        view = self._score(kernel, rows)
+        evaluations = len(draws)
+        order = sorted(range(len(draws)), key=view.rank)
+        walkers: list[_Walker] = []
+        seen = set()
+        for i in order:
+            key = repr((draws.temporal[i], draws.spatial[i]))  # the placement, hashable
+            if key not in seen and len(walkers) < self.WALKERS:
+                seen.add(key)
+                walkers.append(self._reseed(_Walker(), MappingState.from_draws(draws, i), view, i))
+        best_score = view.score[order[0]]
+        best_state = walkers[0].state.clone() if view.valid[order[0]] else None
 
         while evaluations < self.max_evaluations and not self._out_of_time(deadline):
-            if state is None:
-                # (Re)seed: best valid of a random batch, else the first draw.
-                num_init = min(self.init_samples, self.max_evaluations - evaluations)
-                draws = space.sample_batch(num_init, rng)
-                valid, scores = self._score_draws(draws)
-                evaluations += num_init
-                seed_index = 0
-                seed_score = float("inf")
-                for i in range(len(draws)):
-                    if valid[i] and scores[i] < seed_score:
-                        seed_index, seed_score = i, float(scores[i])
-                state = space.initial_state(draws, seed_index)
-                evaluator = DeltaEvaluator(state, self.accelerator)
-                current = evaluator.evaluate()
-                if current.valid and current.score(self.metric) < best_score:
-                    best_state, best_score = state.clone(), current.score(self.metric)
-                ref = current.raw_score(self.metric)
-                if not math.isfinite(ref) or ref <= 0.0:
-                    ref = 1.0
-                weights = {group: 1.0 for group in CONSTRAINT_GROUPS}
-                stalled = 0
-                continue
+            # Propose: every walker's neighbourhood (or restart draws), in
+            # walker order, all written into one set of rows.
+            rows = BatchRows(layer, space.num_levels)
+            plans = []
+            for walker in walkers:
+                budget = self.max_evaluations - evaluations - len(rows)
+                begin = len(rows)
+                if budget <= 0:
+                    plans.append(None)
+                elif walker.state is None:
+                    draws = space.sample_batch(min(self.init_samples, budget), rng)
+                    rows.add_draws(draws)
+                    plans.append((begin, draws))
+                else:
+                    moves = space.neighborhood(walker.state, rng, min(self.moves_per_step, budget))
+                    state = walker.state
+                    for move in moves:
+                        undo = state.apply(move)
+                        rows.add(state.temporal, state.spatial)
+                        state.undo(undo)
+                    plans.append((begin, moves) if moves else None)
+            if not len(rows):
+                break  # every walker is frozen: every loop bound is 1
+            view = self._score(kernel, rows)
+            evaluations += len(rows)
 
-            budget = self.max_evaluations - evaluations
-            moves = space.neighborhood(state, rng, min(self.moves_per_step, budget))
-            if not moves:
-                break  # frozen state: every loop bound is 1
+            # Select: each walker's DDFW rules, in walker order.
+            for walker, plan in zip(walkers, plans):
+                if plan is None:
+                    continue
+                begin, candidates = plan
+                if walker.state is None:  # restart at the best valid draw, else the first
+                    row = min(range(begin, begin + len(candidates)), key=view.rank)
+                    self._reseed(walker, MappingState.from_draws(candidates, row - begin), view, row)
+                    if view.score[row] < best_score:
+                        best_state, best_score = walker.state.clone(), view.score[row]
+                    continue
 
-            improved_best = False
-            best_move = None
-            best_result: DeltaCostResult | None = None
-            best_guidance = float("inf")
-            for move in moves:
-                result = self._preview(evaluator, move)
-                evaluations += 1
-                guidance = self._guidance(result, weights, ref)
-                if guidance < best_guidance:
-                    best_move, best_result, best_guidance = move, result, guidance
-                if result.valid and result.score(self.metric) < best_score:
-                    undo = state.apply(move)
-                    best_state, best_score = state.clone(), result.score(self.metric)
-                    state.undo(undo)
-                    improved_best = True
+                improved_best = False
+                best_row = -1
+                best_guidance = float("inf")
+                for i, move in enumerate(candidates):
+                    row = begin + i
+                    guidance = walker.guidance(view.raw[row], view.violations[row])
+                    if guidance < best_guidance:
+                        best_row, best_guidance = row, guidance
+                    if view.valid[row] and view.score[row] < best_score:
+                        undo = walker.state.apply(move)
+                        best_state, best_score = walker.state.clone(), view.score[row]
+                        walker.state.undo(undo)
+                        improved_best = True
 
-            stalled = 0 if improved_best else stalled + 1
-            if stalled >= self.restart_after:
-                state = None  # basin exhausted: restart from a fresh seed
-                continue
-            if best_move is None:
-                continue
-            if best_guidance < self._guidance(current, weights, ref):
-                current = self._commit(evaluator, best_move)
-                continue
+                walker.stalled = 0 if improved_best else walker.stalled + 1
+                if walker.stalled >= self.restart_after:
+                    walker.state = None  # basin exhausted: restart next step
+                    continue
+                if best_row < 0:
+                    continue
+                if best_guidance < walker.guidance(walker.raw, walker.violations):
+                    walker.commit(candidates[best_row - begin], view, best_row)
+                    continue
 
-            # Plateau: re-shape the landscape (DDFW weight transfer), then
-            # optionally random-walk through it.
-            self._transfer_weights(weights, current)
-            if rng.random() < self.perturbation:
-                current = self._commit(evaluator, best_move)
+                # Plateau: re-shape the landscape (DDFW weight transfer), then
+                # optionally random-walk through it.
+                self._transfer_weights(walker.weights, walker.violations)
+                if rng.random() < self.perturbation:
+                    walker.commit(candidates[best_row - begin], view, best_row)
 
         best_mapping = best_state.to_mapping() if best_state is not None else None
         best_cost = self._cost_model.evaluate(best_mapping) if best_mapping is not None else None
@@ -253,52 +288,45 @@ class LocalSearchScheduler(SearchScheduler):
         return [self.schedule(layer) for layer in layers]
 
     # ------------------------------------------------------------- evaluation
-    def _preview(self, evaluator: DeltaEvaluator, move) -> DeltaCostResult:
-        """Cost of ``move`` without keeping it applied."""
-        if self.use_delta:
-            return evaluator.preview(move)
-        undo = evaluator.state.apply(move)
-        evaluator.reset()
-        result = evaluator.evaluate()
-        evaluator.state.undo(undo)
-        evaluator.reset()
-        return result
+    def _score(self, kernel, rows: BatchRows) -> "_View":
+        """One kernel call over ``rows``: masked scores plus guidance terms."""
+        detail = kernel.evaluate_detail(rows.batch())
+        capacity, spatial = kernel.violation_magnitudes(detail)
+        if self.utilization_target > 0:
+            shortfall = np.maximum(self.utilization_target - detail.raw_utilization, 0.0)
+            shortfall = shortfall / self.utilization_target
+        else:
+            shortfall = np.zeros_like(capacity)
+        if self.metric == "latency":
+            raw = detail.raw_latency
+        elif self.metric == "energy":
+            raw = detail.raw_energy
+        else:
+            raw = detail.raw_energy * detail.raw_latency
+        valid = detail.result.valid
+        return _View(
+            valid=valid.tolist(),
+            score=np.where(valid, raw, np.inf).tolist(),
+            raw=raw.tolist(),
+            violations=list(zip(capacity.tolist(), spatial.tolist(), shortfall.tolist())),
+        )
 
-    def _commit(self, evaluator: DeltaEvaluator, move) -> DeltaCostResult:
-        """Apply ``move`` for good and return the new state's cost."""
-        if self.use_delta:
-            result, _ = evaluator.apply(move)
-            return result
-        evaluator.state.apply(move)
-        evaluator.reset()
-        return evaluator.evaluate()
+    def _reseed(self, walker: "_Walker", state: MappingState, view: "_View", row: int) -> "_Walker":
+        """(Re)start ``walker`` at ``state`` (scored as ``row``) with fresh weights."""
+        walker.state = state
+        walker.raw = view.raw[row]
+        walker.violations = view.violations[row]
+        ref = walker.raw
+        walker.ref = ref if math.isfinite(ref) and ref > 0.0 else 1.0
+        walker.weights = {group: 1.0 for group in CONSTRAINT_GROUPS}
+        walker.stalled = 0
+        return walker
 
     # --------------------------------------------------------------- guidance
-    def _violations(self, result: DeltaCostResult) -> dict[str, float]:
-        """Per-group violation magnitudes of a (possibly invalid) state."""
-        shortfall = 0.0
-        if self.utilization_target > 0:
-            shortfall = max(0.0, self.utilization_target - result.raw_utilization)
-            shortfall /= self.utilization_target
-        return {
-            "capacity": result.capacity_violation,
-            "spatial": result.spatial_violation,
-            "utilization": shortfall,
-        }
-
-    def _guidance(self, result: DeltaCostResult, weights: dict, ref: float) -> float:
-        """Weighted objective: normalized raw cost plus weighted violations."""
-        violations = self._violations(result)
-        guidance = result.raw_score(self.metric) / ref
-        for group in CONSTRAINT_GROUPS:
-            guidance += weights[group] * violations[group]
-        return guidance
-
-    def _transfer_weights(self, weights: dict, current: DeltaCostResult) -> None:
+    def _transfer_weights(self, weights: dict, violations: tuple) -> None:
         """DDFW plateau rule: move weight from satisfied onto violated groups."""
-        violations = self._violations(current)
-        violated = [g for g in CONSTRAINT_GROUPS if violations[g] > 0]
-        satisfied = [g for g in CONSTRAINT_GROUPS if violations[g] == 0]
+        violated = [g for g, v in zip(CONSTRAINT_GROUPS, violations) if v > 0]
+        satisfied = [g for g, v in zip(CONSTRAINT_GROUPS, violations) if v == 0]
         if not violated:
             return
         if satisfied:
@@ -314,3 +342,38 @@ class LocalSearchScheduler(SearchScheduler):
         else:
             for group in violated:
                 weights[group] += self.weight_increment
+
+
+class _View(NamedTuple):
+    """One step's kernel results as Python lists, indexed by row."""
+
+    valid: list
+    score: list
+    raw: list
+    violations: list
+
+    def rank(self, row: int) -> tuple:
+        """Sort key: valid rows by score first, then invalid ones."""
+        return not self.valid[row], self.score[row]
+
+
+class _Walker:
+    """One lockstep walker: its state, the state's guidance terms and DDFW weights.
+
+    ``state is None`` marks a walker due to restart at the next step.
+    """
+
+    __slots__ = ("state", "raw", "violations", "ref", "weights", "stalled")
+
+    def guidance(self, raw: float, violations: tuple) -> float:
+        """Weighted objective: normalized raw cost plus weighted violations."""
+        guidance = raw / self.ref
+        for group, violation in zip(CONSTRAINT_GROUPS, violations):
+            guidance += self.weights[group] * violation
+        return guidance
+
+    def commit(self, move, view: _View, row: int) -> None:
+        """Apply ``move`` for good; ``row`` holds the moved state's terms."""
+        self.state.apply(move)
+        self.raw = view.raw[row]
+        self.violations = view.violations[row]

@@ -3,22 +3,21 @@
 One measurement recipe serves both entry points — ``repro bench`` (the CLI
 subcommand) and ``benchmarks/bench_eval.py`` (the CI-gated script): for every
 layer of a workload preset, draw one fixed set of random candidates and time
-three evaluation pipelines over identical inputs:
+the evaluation pipelines over identical inputs:
 
 * **scalar** — one :class:`repro.model.cost.CostModel` call per mapping (the
   bit-exact reference oracle),
 * **batched** — one :class:`repro.model.batch.BatchCostModel` pass over the
   draws (packing included in the timing; the per-(problem, arch) kernel
   build time is reported separately),
-* **delta** — single-move re-evaluation through the
-  :class:`~repro.model.delta.DeltaEvaluator`, compared against the honest
-  full path for the same move (apply, pack a one-draw batch, run the
-  kernel, undo).
+* **lockstep** — a fixed-budget :class:`~repro.baselines.local_search.LocalSearchScheduler`
+  run, reported as scored candidates per second (reported, not gated).
 
 Every timing doubles as a parity audit: batched results must match the
-scalar oracle, and each delta preview must equal the full re-evaluation of
-the moved state exactly — a speedup claim is meaningless if the fast path
-disagrees with the oracle.
+scalar oracle, and along a random move walk the kernel's unmasked
+(raw) latency, energy and constraint-violation magnitudes — what local
+search steers by — must equal the scalar models' exactly.  A speedup claim
+is meaningless if the fast path disagrees with the oracle.
 """
 
 from __future__ import annotations
@@ -28,11 +27,11 @@ import random
 import time
 
 from repro.arch import simba_like
+from repro.baselines.local_search import LocalSearchScheduler
 from repro.mapping.moves import MappingState, propose_move
-from repro.mapping.space import MapSpace, MappingDraws
-from repro.model import CostModel
+from repro.mapping.space import MapSpace
+from repro.model import CostModel, EnergyModel, NestAnalysis, PerformanceModel
 from repro.model.batch import BatchCostModel, MappingBatch, kernel_cache_info
-from repro.model.delta import DeltaEvaluator
 
 #: Quick subset: the 3x3 conv layers plus the stem (covers small and large shapes).
 QUICK_LAYERS = (
@@ -55,9 +54,12 @@ FUSION_PRESET = "fusion"
 #: Every preset name the bench CLI accepts.
 ALL_PRESETS = PRESETS + (FUSION_PRESET,)
 
-#: Tolerance of the scalar-vs-batched parity audit (delta is compared
+#: Tolerance of the scalar-vs-batched parity audit (the raw view is compared
 #: exactly, not against this).
 PARITY_TOLERANCE = 1e-9
+
+#: Evaluation budget of the timed local-search run per layer.
+LOCKSTEP_BUDGET = 1024
 
 
 def _transformer_layers():
@@ -88,81 +90,63 @@ def preset_layers(preset: str) -> list:
     raise ValueError(f"unknown bench preset {preset!r}; expected one of {PRESETS}")
 
 
-def _delta_matches_full(delta, full, index: int) -> bool:
-    """Exact (bitwise) agreement of one delta preview with the full kernel."""
-    if delta.valid != bool(full.valid[index]):
-        return False
-    return (
-        delta.latency == float(full.latency[index])
-        and delta.energy == float(full.energy[index])
-        and delta.utilization == float(full.utilization[index])
-    )
+def scalar_raw_view(mapping, arch) -> tuple:
+    """The scalar models' ``(latency, energy, capacity, spatial)`` raw view.
+
+    Latency and energy come from :class:`PerformanceModel` and
+    :class:`EnergyModel` on one :class:`NestAnalysis`, unmasked (they are
+    defined for invalid mappings too); the violation magnitudes are the
+    normalized excesses of :meth:`NestAnalysis.buffer_violations` and of the
+    per-level spatial products over the fanouts, summed in level order.
+    """
+    analysis = NestAnalysis(mapping, arch)
+    latency = PerformanceModel(arch).evaluate(mapping, analysis).latency
+    energy = EnergyModel(arch).evaluate(mapping, analysis).total
+    capacity = 0.0
+    for _, used, limit in analysis.buffer_violations():
+        capacity += (used - limit) / limit
+    spatial = 0.0
+    for index, level in enumerate(arch.hierarchy):
+        product = mapping.spatial_product_at(index)
+        if product > level.spatial_fanout:
+            spatial += (product - level.spatial_fanout) / level.spatial_fanout
+    return latency, energy, capacity, spatial
 
 
-def _single_draw(state: MappingState) -> MappingDraws:
-    """Pack the current state as a one-draw batch (the full path's input)."""
-    return MappingDraws(
-        layer=state.layer,
-        num_levels=state.num_levels,
-        temporal=[[[(d, b) for d, b in level] for level in state.temporal]],
-        spatial=[[[(d, b) for d, b in level] for level in state.spatial]],
-    )
+def raw_view_mismatches(kernel, space: MapSpace, draws, valid, seed: int, num_moves: int) -> tuple:
+    """Audit the kernel's raw view along a random move walk: ``(mismatches, states)``.
 
-
-def bench_delta(kernel, space: MapSpace, draws, valid, seed: int, num_moves: int) -> dict:
-    """Time delta vs full re-evaluation over identical single-factor moves.
-
-    The state is seeded from the first valid draw (else draw 0); every move
-    is proposed against that fixed state, so the two timed pipelines see the
-    exact same move sequence.  Each preview is audited bitwise against the
-    full path before the timing runs.
+    The walk starts at the first valid draw (else draw 0) and commits every
+    proposed move, so it crosses invalid states too; all visited states are
+    scored in one kernel call and compared with :func:`scalar_raw_view`
+    using ``==``.
     """
     seed_index = next((i for i in range(len(draws)) if valid[i]), 0)
     state = MappingState.from_draws(draws, seed_index)
-    evaluator = DeltaEvaluator(state, kernel.accelerator)
     fanouts = space.spatial_fanouts
-
     rng = random.Random(seed + 1)
-    moves = []
-    for _ in range(4 * num_moves):
-        if len(moves) >= num_moves:
-            break
+    mappings = [state.to_mapping()]
+    for _ in range(num_moves):
         move = propose_move(state, fanouts, rng)
         if move is None:
             break
-        moves.append(move)
-    if not moves:
-        return {"delta_moves_per_sec": 0.0, "full_moves_per_sec": 0.0,
-                "delta_speedup": 1.0, "delta_mismatches": 0, "num_moves": 0}
-
+        state.apply(move)
+        mappings.append(state.to_mapping())
+    detail = kernel.evaluate_detail(MappingBatch.from_mappings(mappings))
+    capacity, spatial = kernel.violation_magnitudes(detail)
     mismatches = 0
-    for move in moves:
-        preview = evaluator.preview(move)
-        record = state.apply(move)
-        full = kernel.evaluate(MappingBatch.from_draws(_single_draw(state)))
-        state.undo(record)
-        if not _delta_matches_full(preview, full, 0):
-            mismatches += 1
+    for i, mapping in enumerate(mappings):
+        actual = (detail.raw_latency[i], detail.raw_energy[i], capacity[i], spatial[i])
+        mismatches += actual != scalar_raw_view(mapping, kernel.accelerator)
+    return mismatches, len(mappings)
 
+
+def bench_lockstep(arch, layer, seed: int) -> float:
+    """Scored candidates per second of a :data:`LOCKSTEP_BUDGET` local search."""
+    scheduler = LocalSearchScheduler(arch, seed=seed, max_evaluations=LOCKSTEP_BUDGET)
     start = time.perf_counter()
-    for move in moves:
-        evaluator.preview(move)
-    delta_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for move in moves:
-        record = state.apply(move)
-        kernel.evaluate(MappingBatch.from_draws(_single_draw(state)))
-        state.undo(record)
-    full_seconds = time.perf_counter() - start
-
-    return {
-        "delta_moves_per_sec": len(moves) / delta_seconds,
-        "full_moves_per_sec": len(moves) / full_seconds,
-        "delta_speedup": full_seconds / delta_seconds,
-        "delta_mismatches": mismatches,
-        "num_moves": len(moves),
-    }
+    result = scheduler.schedule(layer)
+    return result.num_evaluated / (time.perf_counter() - start)
 
 
 def bench_layer(arch, layer, samples: int, seed: int, num_moves: int = 96) -> dict:
@@ -212,7 +196,12 @@ def bench_layer(arch, layer, samples: int, seed: int, num_moves: int = 96) -> di
         "validity_mismatches": mismatches,
         "max_rel_diff": max_rel,
     }
-    row.update(bench_delta(kernel, space, draws, batch_result.valid, seed, num_moves))
+    raw_mismatches, raw_states = raw_view_mismatches(
+        kernel, space, draws, batch_result.valid, seed, num_moves
+    )
+    row["raw_view_mismatches"] = raw_mismatches
+    row["raw_view_states"] = raw_states
+    row["lockstep_moves_per_sec"] = bench_lockstep(arch, layer, seed)
     return row
 
 
@@ -247,7 +236,6 @@ def bench_report(
             progress(row)
 
     speedups = [row["speedup"] for row in rows]
-    delta = [row["delta_speedup"] for row in rows]
     return {
         "benchmark": "batched-mapping-evaluation",
         "network": label,
@@ -259,11 +247,10 @@ def bench_report(
         "geomean_speedup": _geomean(speedups),
         "min_speedup": min(speedups),
         "max_speedup": max(speedups),
-        "geomean_delta_speedup": _geomean(delta),
-        "min_delta_speedup": min(delta),
+        "geomean_lockstep_moves_per_sec": _geomean(r["lockstep_moves_per_sec"] for r in rows),
         "kernel_build_seconds_total": sum(row["kernel_build_seconds"] for row in rows),
         "total_validity_mismatches": sum(r["validity_mismatches"] for r in rows),
-        "total_delta_mismatches": sum(r["delta_mismatches"] for r in rows),
+        "total_raw_view_mismatches": sum(r["raw_view_mismatches"] for r in rows),
         "max_rel_diff": max(r["max_rel_diff"] for r in rows),
     }
 
@@ -273,7 +260,7 @@ def render_row(row: dict) -> str:
     return (
         f"{row['layer']:<20} scalar {row['scalar_mappings_per_sec']:>9.0f}/s   "
         f"batched {row['batched_mappings_per_sec']:>10.0f}/s ({row['speedup']:5.1f}x)   "
-        f"delta {row['delta_speedup']:5.1f}x   "
+        f"lockstep {row['lockstep_moves_per_sec']:>7.0f}/s   "
         f"valid {row['num_valid']}/{row['samples']}"
     )
 
@@ -283,16 +270,17 @@ def render_summary(report: dict) -> str:
     return (
         f"geomean speedup over scalar: batched {report['geomean_speedup']:.1f}x "
         f"(build {report['kernel_build_seconds_total'] * 1e3:.1f} ms total); "
-        f"delta vs full re-eval {report['geomean_delta_speedup']:.1f}x "
+        f"lockstep local search {report['geomean_lockstep_moves_per_sec']:.0f} moves/s; "
+        f"raw-view mismatches {report['total_raw_view_mismatches']} "
         f"over {len(report['layers'])} layers"
     )
 
 
-def check_report(report: dict, check=None, check_delta=None) -> list[str]:
+def check_report(report: dict, check=None) -> list[str]:
     """Validate a finished report; returns human-readable failure strings.
 
-    Parity failures are always fatal; the two optional floors gate the
-    batched and delta geomean speedups respectively.
+    Parity failures — batched vs scalar, and any raw-view mismatch — are
+    always fatal; the optional floor gates the batched geomean speedup.
     """
     failures = []
     if report["total_validity_mismatches"]:
@@ -302,16 +290,14 @@ def check_report(report: dict, check=None, check_delta=None) -> list[str]:
             f"PARITY FAILURE: max relative difference {report['max_rel_diff']:.2e} "
             f"exceeds the {PARITY_TOLERANCE:.0e} tolerance"
         )
-    if report["total_delta_mismatches"]:
-        failures.append("PARITY FAILURE: delta evaluation disagrees with full re-evaluation")
+    if report["total_raw_view_mismatches"]:
+        failures.append(
+            f"PARITY FAILURE: {report['total_raw_view_mismatches']} raw-view states "
+            "disagree with the scalar models"
+        )
     if check is not None and report["geomean_speedup"] < check:
         failures.append(
             f"speedup check failed: geomean {report['geomean_speedup']:.1f}x < {check}x"
-        )
-    if check_delta is not None and report["geomean_delta_speedup"] < check_delta:
-        failures.append(
-            "delta speedup check failed: geomean "
-            f"{report['geomean_delta_speedup']:.1f}x < {check_delta}x"
         )
     return failures
 

@@ -292,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--arch", default="baseline-4x4", choices=sorted(architectures.available()))
     bench.add_argument("--samples", type=_positive_int, default=256, help="candidates per layer")
-    bench.add_argument("--moves", type=_positive_int, default=96, help="delta moves timed per layer")
+    bench.add_argument("--moves", type=_positive_int, default=96, help="raw-view audit moves per layer")
     bench.add_argument("--seed", type=int, default=0, help="sampling seed")
     bench.add_argument("--out", metavar="FILE", default=None, help="also write the JSON report here")
     bench.add_argument("--json", action="store_true", help="print the JSON report instead of the table")

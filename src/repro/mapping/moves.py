@@ -31,6 +31,7 @@ __all__ = [
     "FactorMove",
     "PermutationSwap",
     "MappingState",
+    "move_slots",
     "propose_move",
 ]
 
@@ -210,6 +211,11 @@ class MappingState:
             target[:] = snapshot
 
 
+def move_slots(num_levels: int, fanouts: dict[int, int]) -> tuple:
+    """Every ``(level, spatial)`` slot a factor can move to (a map-space constant)."""
+    return tuple((lvl, False) for lvl in range(num_levels)) + tuple((lvl, True) for lvl in fanouts)
+
+
 def propose_move(
     state: MappingState,
     fanouts: dict[int, int],
@@ -217,13 +223,15 @@ def propose_move(
     swap_probability: float = 0.25,
     overflow_probability: float = 0.1,
     max_attempts: int = 16,
+    slots: tuple | None = None,
 ):
     """Draw one random move for ``state``, or ``None`` when the state is frozen.
 
     With probability ``swap_probability`` (when some level has two or more
     temporal loops) a :class:`PermutationSwap` is proposed; otherwise a
     :class:`FactorMove` relocating one prime factor of a random movable
-    entry to a random other slot.  Spatial destinations normally respect the
+    entry to a random other slot of ``slots`` (default
+    :func:`move_slots`).  Spatial destinations normally respect the
     remaining fanout budget, but with ``overflow_probability`` an
     over-subscribing move is allowed through so the search can cross
     infeasible regions — the DDFW weights on the spatial constraint group
@@ -249,6 +257,8 @@ def propose_move(
             sources.append((level, True, entry))
     if not sources:
         return None
+    if slots is None:
+        slots = move_slots(state.num_levels, fanouts)
 
     for _ in range(max_attempts):
         level, spatial, entry = sources[rng.randrange(len(sources))]
@@ -256,10 +266,15 @@ def propose_move(
         primes = factorize(bound)
         factor = primes[rng.randrange(len(primes))]
 
-        slots = [(lvl, False) for lvl in range(state.num_levels)]
-        slots += [(lvl, True) for lvl in fanouts]
-        slots = [slot for slot in slots if slot != (level, spatial)]
-        dst_level, dst_spatial = slots[rng.randrange(len(slots))]
+        # A uniform pick among the slots other than the source one.
+        source = (level, spatial)
+        if source in slots:
+            pick = rng.randrange(len(slots) - 1)
+            if pick >= slots.index(source):
+                pick += 1
+        else:
+            pick = rng.randrange(len(slots))
+        dst_level, dst_spatial = slots[pick]
         if dst_spatial:
             budget = fanouts.get(dst_level, 1) // state.spatial_product_at(dst_level)
             if budget < factor and rng.random() >= overflow_probability:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.arch.accelerator import Accelerator
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
-from repro.mapping.moves import MappingState, propose_move
+from repro.mapping.moves import MappingState, move_slots, propose_move
 from repro.workloads.layer import Layer
 from repro.workloads.prime import count_factorizations, factorize
 
@@ -111,6 +111,7 @@ class MapSpace:
         }
         self._dims = layer.problem.dims
         self._prime_factors = {dim: factorize(bound) for dim, bound in layer.bounds.items()}
+        self._move_slots = move_slots(self.num_levels, self._spatial_levels)
 
     # ------------------------------------------------------------------- sizes
     def tiling_space_size(self) -> int:
@@ -222,10 +223,10 @@ class MapSpace:
         """One random local-search move for ``state`` (``None`` when frozen).
 
         Thin wrapper over :func:`~repro.mapping.moves.propose_move` that
-        supplies this space's fanout budgets; keyword arguments
+        supplies this space's fanout budgets and slot list; keyword arguments
         (``swap_probability``, ``overflow_probability``, ...) pass through.
         """
-        return propose_move(state, self._spatial_levels, rng, **kwargs)
+        return propose_move(state, self._spatial_levels, rng, slots=self._move_slots, **kwargs)
 
     def neighborhood(self, state: MappingState, rng: random.Random, count: int, **kwargs) -> list:
         """Up to ``count`` distinct random moves applicable to ``state``.

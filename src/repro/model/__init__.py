@@ -11,9 +11,8 @@ analytical model.  This subpackage re-implements the same style of analysis:
 * :mod:`repro.model.cost` — the :class:`CostModel` facade combining the
   above, used by every scheduler and experiment,
 * :mod:`repro.model.batch` — the vectorized model: per-(problem, arch)
-  kernels cached by content fingerprint, evaluating whole candidate batches,
-* :mod:`repro.model.delta` — incremental (move-based) re-evaluation for the
-  local-search scheduler.
+  kernels cached by content fingerprint, evaluating whole candidate batches
+  (every search baseline, local search included, scores through it).
 """
 
 from repro.model.nest import NestAnalysis, BoundaryFlow
@@ -28,7 +27,6 @@ from repro.model.batch import (
     clear_kernel_cache,
     kernel_cache_info,
 )
-from repro.model.delta import DeltaCostResult, DeltaEvaluator
 
 __all__ = [
     "NestAnalysis",
@@ -43,8 +41,6 @@ __all__ = [
     "BatchCostResult",
     "MappingBatch",
     "CompiledKernel",
-    "DeltaEvaluator",
-    "DeltaCostResult",
     "kernel_cache_info",
     "clear_kernel_cache",
 ]

@@ -13,9 +13,10 @@ operations instead:
   flattened, permutation-ordered temporal-loop sequence
   (``loop_level/loop_dim/loop_bound[B, M]``) that the stationarity rules
   need.  Batches are built from :class:`~repro.mapping.space.MappingDraws`
-  (no :class:`~repro.mapping.mapping.Mapping` objects are created) or from
-  existing mappings, with flat index lists and one fancy-index scatter per
-  array.
+  (no :class:`~repro.mapping.mapping.Mapping` objects are created), from
+  existing mappings, or row by row through :class:`BatchRows` (local
+  search's moved states), with flat index columns and one fancy-index
+  scatter per array.
 * :class:`CompiledKernel` — the cost equations specialized once for one
   (tensor problem, architecture) pair: bounds gathers, relevance and
   projection tables, boundary-flow structure and energy coefficients are
@@ -34,12 +35,12 @@ accumulation over boundary flows, tensors and levels) so results agree
 bit-for-bit wherever intermediate values are exactly representable, and to
 within 1e-9 relative everywhere else.  The one structural change is the
 stationarity walk: instead of multiplying one loop position at a time, the
-kernel reduces ``where(counted, bound, 1)`` along the loop axis;
-``multiply.reduce`` traverses the axis in the same sequential order and every
-intermediate is an exactly-representable integer product, so the result is
-bit-identical.  ``tests/test_batch_parity.py`` and ``tests/test_kernels.py``
-lock the two paths together; ``docs/cost_model.md`` maps every scalar method
-to its vectorized counterpart.
+kernel reduces ``where(counted, bound, 1)`` along the loop axis, for every
+boundary flow at once; every partial product is an integer below 2^53, so
+the result is bit-identical whatever order the reduction takes.
+``tests/test_batch_parity.py`` and ``tests/test_kernels.py`` lock the two
+paths together; ``docs/cost_model.md`` maps every scalar method to its
+vectorized counterpart.
 """
 
 from __future__ import annotations
@@ -111,15 +112,10 @@ class MappingBatch:
     # ------------------------------------------------------------ construction
     @classmethod
     def from_draws(cls, draws: "MappingDraws") -> "MappingBatch":
-        """Pack sampled factor placements (no ``Mapping`` objects involved).
-
-        Draws merge their loops per (level, dimension), so the factor
-        matrices are filled by plain assignment.
-        """
-        return cls._pack(
-            draws.layer, draws.num_levels, draws.temporal, draws.spatial,
-            source=draws, merged=True,
-        )
+        """Pack sampled factor placements (no ``Mapping`` objects involved)."""
+        rows = BatchRows(draws.layer, draws.num_levels)
+        rows.add_draws(draws)
+        return rows.batch(source=draws)
 
     @classmethod
     def from_mappings(cls, mappings: Sequence[Mapping]) -> "MappingBatch":
@@ -128,82 +124,17 @@ class MappingBatch:
             raise ValueError("cannot build a batch from zero mappings")
         layer = mappings[0].layer
         num_levels = mappings[0].num_levels
+        rows = BatchRows(layer, num_levels)
         for mapping in mappings:
             if mapping.layer != layer:
                 raise ValueError("all mappings of a batch must map the same layer")
             if mapping.num_levels != num_levels:
                 raise ValueError("all mappings of a batch must cover the same levels")
-        temporal = [
-            [[(loop.dim, loop.bound) for loop in level.temporal] for level in mapping.levels]
-            for mapping in mappings
-        ]
-        spatial = [
-            [[(loop.dim, loop.bound) for loop in level.spatial] for level in mapping.levels]
-            for mapping in mappings
-        ]
-        return cls._pack(layer, num_levels, temporal, spatial, source=list(mappings), merged=False)
-
-    @classmethod
-    def _pack(cls, layer, num_levels, temporal_loops, spatial_loops, source, merged: bool):
-        """Scatter ``[candidate][level][(dim, bound)]`` loop lists into arrays.
-
-        The flattened loop order is level-major within each candidate, so
-        the (candidate, position, level) index columns are pure arithmetic
-        over the per-(candidate, level) loop counts — only the dimension ids
-        and bounds need the Python walk, which runs once per loop and keeps
-        its body to two appends.  ``merged`` candidates hold at most one
-        loop per (level, dimension), so the factor matrices take plain
-        assignment; otherwise repeated loops are multiplied in order, like
-        the scalar walk.
-        """
-        size = len(temporal_loops)
-        L = num_levels
-        dim_index = {dim: i for i, dim in enumerate(layer.problem.dims)}
-        D = len(dim_index)
-
-        def flatten(per_candidate):
-            counts: list[int] = []
-            dims: list[int] = []
-            bounds: list[int] = []
-            add_count, add_dim, add_bound = counts.append, dims.append, bounds.append
-            for candidate in per_candidate:
-                for loops in candidate:
-                    add_count(len(loops))
-                    for dim, bound in loops:
-                        add_dim(dim_index[dim])
-                        add_bound(bound)
-            per_level = np.array(counts, dtype=np.int64)
-            per_row = per_level.reshape(size, L).sum(axis=1)
-            rows = np.repeat(np.arange(size, dtype=np.int64), per_row)
-            levels = np.repeat(level_ids, per_level)
-            return per_row, rows, levels, np.array(dims, dtype=np.int64), np.array(bounds, dtype=np.float64)
-
-        def scatter(factors, rows, levels, dims, bounds):
-            if merged:
-                factors[rows, levels, dims] = bounds
-            else:
-                np.multiply.at(factors, (rows, levels, dims), bounds)
-
-        level_ids = np.tile(np.arange(L, dtype=np.int64), size)
-        per_row, rows, levels, dims, bounds = flatten(temporal_loops)
-        max_loops = max(int(per_row.max(initial=0)), 1)
-
-        tf = np.ones((size, L, D), dtype=np.float64)
-        sf = np.ones((size, L, D), dtype=np.float64)
-        loop_level = np.full((size, max_loops), PAD, dtype=np.int64)
-        loop_dim = np.full((size, max_loops), PAD, dtype=np.int64)
-        loop_bound = np.ones((size, max_loops), dtype=np.float64)
-        if len(dims):
-            starts = np.concatenate([[0], np.cumsum(per_row)[:-1]])
-            cols = np.arange(len(rows), dtype=np.int64) - np.repeat(starts, per_row)
-            scatter(tf, rows, levels, dims, bounds)
-            loop_level[rows, cols] = levels
-            loop_dim[rows, cols] = dims
-            loop_bound[rows, cols] = bounds
-        _, rows, levels, dims, bounds = flatten(spatial_loops)
-        if len(dims):
-            scatter(sf, rows, levels, dims, bounds)
-        return cls(layer, tf, sf, loop_level, loop_dim, loop_bound, source=source)
+            rows.add(
+                [[(loop.dim, loop.bound) for loop in level.temporal] for level in mapping.levels],
+                [[(loop.dim, loop.bound) for loop in level.spatial] for level in mapping.levels],
+            )
+        return rows.batch(source=list(mappings), merged=False)
 
     # ----------------------------------------------------------- materialization
     def mapping_at(self, index: int) -> Mapping:
@@ -217,6 +148,90 @@ class MappingBatch:
         if isinstance(self._source, list):
             return self._source[index]
         return self._source.materialize(index)
+
+
+class BatchRows:
+    """Candidates of one layer appended row by row as flat loop columns.
+
+    The builder behind every :class:`MappingBatch`: draws, mappings and the
+    mutable states of local search append their per-level ``(dim, bound)``
+    loop lists one candidate at a time — each loop as a ``(slot, bound)``
+    pair with ``slot = level * D + dim id``, in one flat list per loop kind,
+    plus the candidate's loop counts; no per-candidate nested copies.
+    :meth:`batch` then scatters the columns into the factor matrices and the
+    flattened loop arrays with one fancy-index assignment per array.
+    """
+
+    __slots__ = ("layer", "num_levels", "_slots", "_temporal", "_spatial", "_counts")
+
+    def __init__(self, layer: Layer, num_levels: int):
+        self.layer = layer
+        self.num_levels = num_levels
+        dims = layer.problem.dims
+        self._slots = [
+            {dim: level * len(dims) + d for d, dim in enumerate(dims)}
+            for level in range(num_levels)
+        ]
+        self._temporal: list[int] = []
+        self._spatial: list[int] = []
+        self._counts: list[int] = []  # temporal, spatial loop count per row
+
+    def __len__(self) -> int:
+        return len(self._counts) >> 1
+
+    def add(self, temporal, spatial) -> None:
+        """Append one candidate: ``temporal[level]`` / ``spatial[level]`` loop lists.
+
+        Temporal loops are listed innermost first (permutation order); that
+        order, level-major, becomes the candidate's flattened loop sequence.
+        """
+        for append, per_level in ((self._temporal.append, temporal), (self._spatial.append, spatial)):
+            count = 0
+            for slots, loops in zip(self._slots, per_level):
+                for dim, bound in loops:
+                    append(slots[dim])
+                    append(bound)
+                count += len(loops)
+            self._counts.append(count)
+
+    def add_draws(self, draws: "MappingDraws") -> None:
+        """Append every draw of a sampled batch, in order."""
+        for temporal, spatial in zip(draws.temporal, draws.spatial):
+            self.add(temporal, spatial)
+
+    def batch(self, source=None, merged: bool = True) -> MappingBatch:
+        """Scatter the appended rows into a :class:`MappingBatch`.
+
+        ``merged`` candidates hold at most one loop per (level, dimension),
+        so the factor matrices take plain assignment; otherwise repeated
+        loops are multiplied in order, like the scalar walk.
+        """
+        B, L, D = len(self), self.num_levels, len(self.layer.problem.dims)
+        counts = np.array(self._counts, dtype=np.int64).reshape(B, 2)
+        factors = np.ones((2, B, L * D), dtype=np.float64)  # temporal, spatial
+        for kind, flat in enumerate((self._temporal, self._spatial)):
+            slot, bound = np.array(flat, dtype=np.int64).reshape(-1, 2).T
+            rows = np.repeat(np.arange(B), counts[:, kind])
+            if merged:
+                factors[kind, rows, slot] = bound
+            else:
+                np.multiply.at(factors[kind], (rows, slot), bound.astype(np.float64))
+            if kind == 0:
+                loops = rows, slot, bound
+        # Rows are appended in order, so a loop's column in the flattened
+        # sequence is its offset from the first loop of its row.
+        rows, slot, bound = loops
+        per_row = counts[:, 0]
+        cols = np.arange(len(rows)) - (np.cumsum(per_row) - per_row)[rows]
+        width = max(int(per_row.max(initial=0)), 1)
+        loop_level = np.full((B, width), PAD, dtype=np.int64)
+        loop_dim = loop_level.copy()
+        loop_bound = np.ones((B, width), dtype=np.float64)
+        loop_level[rows, cols] = slot // D
+        loop_dim[rows, cols] = slot % D
+        loop_bound[rows, cols] = bound
+        tf, sf = factors.reshape(2, B, L, D)
+        return MappingBatch(self.layer, tf, sf, loop_level, loop_dim, loop_bound, source=source)
 
 
 @dataclass
@@ -238,11 +253,12 @@ class DramBoundaryFlowBatch:
 
 @dataclass
 class BatchEvalDetail:
-    """A :class:`BatchCostResult` plus the intermediates the fused combiner needs.
+    """A :class:`BatchCostResult` plus the intermediates behind it.
 
     Every array is a reference to data the evaluation already computed —
-    requesting the detail view costs nothing extra.  The fields mirror the
-    scalar quantities :class:`~repro.model.fused.FusedCostModel` reads off a
+    requesting the detail view costs nothing extra.  The fused combiner
+    (:class:`~repro.model.fused.FusedCostModel`'s batched twin) and the
+    local-search guidance read these fields instead of a scalar
     :class:`~repro.model.nest.NestAnalysis`:
 
     * ``compute_cycles[B]`` — temporal iterations (latency's compute term),
@@ -250,6 +266,11 @@ class BatchEvalDetail:
       (the per-level memory-cycles numerator),
     * ``instances[B, L]`` — active instances per level,
     * ``used_bytes[B, L]`` — buffer occupancy per level (``utilization_bytes``),
+    * ``spatial_per_level[B, L]`` — product of the spatial factors per level,
+    * ``raw_latency`` / ``raw_energy`` / ``raw_utilization[B]`` — the
+      unmasked values: what :class:`~repro.model.performance.PerformanceModel`
+      and :class:`~repro.model.energy.EnergyModel` report for the mapping
+      even when it is invalid (the masked ``result`` holds ``inf`` there),
     * ``dram_flows`` — the DRAM-bordering boundary flow of each tensor.
     """
 
@@ -258,6 +279,10 @@ class BatchEvalDetail:
     words_served: "np.ndarray"
     instances: "np.ndarray"
     used_bytes: "np.ndarray"
+    spatial_per_level: "np.ndarray"
+    raw_latency: "np.ndarray"
+    raw_energy: "np.ndarray"
+    raw_utilization: "np.ndarray"
     dram_flows: dict
 
 
@@ -356,10 +381,10 @@ class CompiledKernel:
             for child, parent in zip(levels, levels[1:]):
                 self._flow_pairs.append((tensor, child, parent))
         self._children = sorted({child for _, child, _ in self._flow_pairs})
-        self._tensors_at_child = {
-            child: [t for t in TensorKind if any(c == child and ft is t for ft, c, _ in self._flow_pairs)]
-            for child in self._children
-        }
+        # Stationarity-walk tables: one row per boundary flow / flow child.
+        self._flow_tensor = np.array([int(t) for t, _, _ in self._flow_pairs], dtype=np.int64)
+        self._flow_child = np.array([c for _, c, _ in self._flow_pairs]).reshape(-1, 1, 1)
+        self._child_level = np.array(self._children).reshape(-1, 1, 1)
         self._innermost = {t: hierarchy.innermost_level_for(t) for t in TensorKind}
         self._multicast = accelerator.noc.multicast
         table = accelerator.energy
@@ -418,32 +443,34 @@ class CompiledKernel:
         walk is the scalar stationarity rule vectorized: within the loop
         sequence restricted to levels ``>= child``, every loop at-or-outside
         the innermost tensor-relevant loop contributes its bound — one masked
-        row product per (tensor, child), sequential along the loop axis like
-        the scalar walk.
+        row product per (tensor, child), all flows stacked on a leading axis.
+        Every partial product is an integer below 2^53, so the product is
+        exact whatever order the reduction takes.
         """
         level = batch.loop_level
         dim = batch.loop_dim
         bound = batch.loop_bound
-        B = level.shape[0]
         present = dim >= 0
         dim_safe = np.where(present, dim, 0)
         rel = self._rel[dim_safe]  # [B, M, T]
-        is_reduction = self._is_reduction_dim[dim_safe] & present
 
-        refetch: dict[tuple[TensorKind, int], np.ndarray] = {}
-        pending: dict[int, np.ndarray] = {}
-        for child in self._children:
-            mask = (level >= child) & present  # loops_above(child)
-            for tensor in self._tensors_at_child[child]:
-                relevant = rel[:, :, int(tensor)] & mask
-                seen = np.logical_or.accumulate(relevant, axis=1)
-                refetch[(tensor, child)] = np.where(seen & mask, bound, 1.0).prod(axis=1)
-            # reduction_pending_above(child): a reduction-dim temporal loop
-            # strictly outside the innermost output-relevant loop.
-            relevant = rel[:, :, int(TensorKind.OUTPUT)] & mask
-            seen = np.logical_or.accumulate(relevant, axis=1)
-            seen_before = np.concatenate([np.zeros((B, 1), dtype=bool), seen[:, :-1]], axis=1)
-            pending[child] = np.any(seen_before & mask & is_reduction, axis=1)
+        # loops_above(child) per flow, then the walk for all flows at once.
+        mask = (level >= self._flow_child) & present  # [F, B, M]
+        relevant = rel[:, :, self._flow_tensor].transpose(2, 0, 1) & mask
+        seen = np.logical_or.accumulate(relevant, axis=2)
+        factors = np.where(seen & mask, bound, 1.0).prod(axis=2)  # [F, B]
+        refetch = {
+            (tensor, child): factors[f] for f, (tensor, child, _) in enumerate(self._flow_pairs)
+        }
+        # reduction_pending_above(child): a reduction-dim temporal loop
+        # strictly outside the innermost output-relevant loop.
+        mask = (level >= self._child_level) & present  # [C, B, M]
+        seen = np.logical_or.accumulate(rel[:, :, int(TensorKind.OUTPUT)] & mask, axis=2)
+        seen_before = np.zeros_like(seen)
+        seen_before[:, :, 1:] = seen[:, :, :-1]
+        is_reduction = self._is_reduction_dim[dim_safe] & present
+        flags = np.any(seen_before & mask & is_reduction, axis=2)  # [C, B]
+        pending = {child: flags[c] for c, child in enumerate(self._children)}
         return refetch, pending
 
     def _spatial_factor_between(self, sf, child: int, parent: int, tensor: TensorKind):
@@ -624,9 +651,31 @@ class CompiledKernel:
                 words_served=words_served,
                 instances=instances,
                 used_bytes=used_bytes,
+                spatial_per_level=spatial_per_level,
+                raw_latency=latency,
+                raw_energy=energy,
+                raw_utilization=utilization,
                 dram_flows=dram_flows,
             )
         return result, detail
+
+    def violation_magnitudes(self, detail: BatchEvalDetail):
+        """Per-candidate ``(capacity, spatial)`` constraint excess, normalized.
+
+        Each bounded buffer contributes ``(used - capacity) / capacity`` when
+        it overflows and each level ``(spatial product - fanout) / fanout``
+        when it is over-subscribed; both sums run in level order.  Zero
+        means the group is satisfied.
+        """
+        capacity = np.zeros(detail.used_bytes.shape[0], dtype=np.float64)
+        spatial = np.zeros_like(capacity)
+        for level in range(self.num_levels):
+            limit = self._capacity[level]
+            if limit != np.inf:
+                capacity = capacity + np.maximum(detail.used_bytes[:, level] - limit, 0.0) / limit
+            fanout = self._fanout[level]
+            spatial = spatial + np.maximum(detail.spatial_per_level[:, level] - fanout, 0.0) / fanout
+        return capacity, spatial
 
 
 # ---------------------------------------------------------------- kernel cache
@@ -665,7 +714,11 @@ class BatchCostModel:
         self._arch_fingerprint = accelerator.fingerprint()
 
     def kernel_for(self, problem: TensorProblem) -> CompiledKernel:
-        """The cached kernel evaluating ``problem`` layers on this architecture."""
+        """The cached kernel evaluating ``problem`` layers on this architecture.
+
+        The key costs no digest per call: :meth:`TensorProblem.fingerprint`
+        is memoized on the frozen problem.
+        """
         key = (problem.fingerprint(), self._arch_fingerprint)
         kernel = _KERNEL_CACHE.get(key)
         if kernel is not None and kernel.problem == problem:

@@ -218,11 +218,15 @@ class TensorProblem:
     def fingerprint(self) -> str:
         """Stable content digest of the problem structure.
 
-        Keys the compiled-kernel cache (:mod:`repro.model.kernels`) together
+        Keys the compiled-kernel cache (:mod:`repro.model.batch`) together
         with the accelerator fingerprint, so two equal problems registered
         under different objects share compiled kernels and a changed
-        projection can never be served a stale kernel.
+        projection can never be served a stale kernel.  The problem is
+        frozen, so the digest is computed once and memoized on the instance.
         """
+        cached = self.__dict__.get("_fingerprint")
+        if cached is not None:
+            return cached
         from repro.digest import stable_digest
 
         payload = {
@@ -239,7 +243,9 @@ class TensorProblem:
             ],
             "reduction_dims": list(self.reduction_dims),
         }
-        return stable_digest(payload)
+        digest = stable_digest(payload)
+        object.__setattr__(self, "_fingerprint", digest)
+        return digest
 
 
 @dataclass(frozen=True)

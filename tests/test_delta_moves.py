@@ -1,20 +1,25 @@
-"""Property tests: delta evaluation under random move sequences.
+"""Property tests: what a move changes, as seen by the batched kernel.
 
-Hand-rolled generators (seeded ``random.Random``, no external property
-testing dependency — the coverage CI job installs none) drive long random
-walks of factor moves, spatial flips and permutation swaps over every
-built-in tensor problem, asserting after **every committed move** that the
-delta-accumulated result equals
+Local search scores moved states through the kernel's *raw view* — the
+unmasked latency / energy / utilization plus the capacity and fanout
+violation magnitudes of :class:`~repro.model.batch.BatchEvalDetail` — so
+that view must be exact on invalid states too, where the masked cost is
+``inf``.  Hand-rolled generators (seeded ``random.Random``, no external
+property-testing dependency — the coverage CI job installs none) drive
+random walks of factor moves, spatial flips and permutation swaps over every
+built-in tensor problem and every architecture preset, asserting after
+**every committed move** that the kernel's raw view equals, with ``==``:
 
-* a fresh full re-evaluation of the same state (raw values included, so
-  invalid states are checked too),
-* the scalar :class:`~repro.model.cost.CostModel` oracle on the
-  materialized mapping, with ``==`` (bit-for-bit, no tolerance),
-* and the batched evaluator.
+* :class:`~repro.model.performance.PerformanceModel` latency and
+  :class:`~repro.model.energy.EnergyModel` energy on a
+  :class:`~repro.model.nest.NestAnalysis` of the same mapping,
+* the normalized excesses of :meth:`NestAnalysis.buffer_violations` and of
+  the per-level spatial products over the fanouts,
+* and, on valid states, the scalar :class:`~repro.model.cost.CostModel`.
 
-Plus the mechanics underneath: ``preview`` leaves state and caches
-untouched, ``apply``/``undo`` round-trips restore both, and
-``MappingState`` materializes exactly the mapping its seed draw would.
+Plus the mechanics underneath: writing a moved state's row leaves the state
+untouched, ``apply``/``undo`` round-trips restore it, and ``MappingState``
+materializes exactly the mapping its seed draw would.
 """
 
 import random
@@ -24,9 +29,8 @@ import pytest
 from repro.arch import architecture_presets, simba_like
 from repro.mapping import MapSpace, mapping_to_dict
 from repro.mapping.moves import FactorMove, MappingState, PermutationSwap, propose_move
-from repro.model import CostModel
-from repro.model.batch import BatchCostModel
-from repro.model.delta import DeltaEvaluator
+from repro.model import CostModel, EnergyModel, NestAnalysis, PerformanceModel
+from repro.model.batch import BatchCostModel, BatchRows, MappingBatch
 from repro.workloads import (
     attention_av,
     attention_qk,
@@ -66,129 +70,196 @@ def snapshot(state):
     )
 
 
-def assert_full_parity(result, state, arch, scalar):
-    """One committed state: delta result vs fresh recompute vs the oracles."""
-    # Fresh evaluator: full recompute of the identical state must be
-    # bit-equal on raw values too (covers invalid states, which the masked
-    # oracle comparison below cannot distinguish).
-    fresh = DeltaEvaluator(state.clone(), arch).evaluate()
-    assert result.valid == fresh.valid
-    assert result.consistent == fresh.consistent
-    assert result.raw_latency == fresh.raw_latency
-    assert result.raw_energy == fresh.raw_energy
-    assert result.raw_utilization == fresh.raw_utilization
-    assert result.capacity_violation == fresh.capacity_violation
-    assert result.spatial_violation == fresh.spatial_violation
+def raw_view(states, arch):
+    """Score ``states`` in one kernel call: per-state raw-view tuples + validity."""
+    layer = states[0].layer
+    rows = BatchRows(layer, arch.num_memory_levels)
+    for state in states:
+        rows.add(state.temporal, state.spatial)
+    kernel = BatchCostModel(arch).kernel_for(layer.problem)
+    detail = kernel.evaluate_detail(rows.batch())
+    capacity, spatial = kernel.violation_magnitudes(detail)
+    views = [
+        (
+            detail.raw_latency[i],
+            detail.raw_energy[i],
+            detail.raw_utilization[i],
+            capacity[i],
+            spatial[i],
+        )
+        for i in range(len(states))
+    ]
+    return views, detail.result
 
-    mapping = state.to_mapping()
-    cost = scalar.evaluate(mapping)
-    assert result.valid == cost.valid
-    assert result.latency == cost.latency
-    assert result.energy == cost.energy
-    assert result.utilization == cost.utilization
-    if cost.valid:
-        assert result.edp == cost.edp
 
-    batch = BatchCostModel(arch).evaluate_mappings([mapping])
-    assert result.valid == bool(batch.valid[0])
-    assert result.latency == batch.latency[0]
-    assert result.energy == batch.energy[0]
-    assert result.utilization == batch.utilization[0]
+def scalar_view(mapping, arch):
+    """The same raw view from the scalar models, unmasked."""
+    analysis = NestAnalysis(mapping, arch)
+    latency = PerformanceModel(arch).evaluate(mapping, analysis).latency
+    energy = EnergyModel(arch).evaluate(mapping, analysis).total
+    utilization = PerformanceModel(arch).utilization(mapping)
+    capacity = 0.0
+    for _, used, limit in analysis.buffer_violations():
+        capacity += (used - limit) / limit
+    spatial = 0.0
+    for index, level in enumerate(arch.hierarchy):
+        product = mapping.spatial_product_at(index)
+        if product > level.spatial_fanout:
+            spatial += (product - level.spatial_fanout) / level.spatial_fanout
+    return latency, energy, utilization, capacity, spatial
+
+
+def walk(state, fanouts, rng, steps, **kwargs):
+    """Commit up to ``steps`` random moves; returns clones of every visited state."""
+    visited = [state.clone()]
+    for _ in range(steps):
+        move = propose_move(state, fanouts, rng, **kwargs)
+        if move is None:
+            break
+        state.apply(move)
+        visited.append(state.clone())
+    return visited
+
+
+def assert_raw_parity(states, arch):
+    """Kernel raw view == scalar models on every state.
+
+    Returns how many states overflow a buffer and how many over-subscribe
+    a fanout, so callers can check that the walk crossed invalid regions.
+    """
+    scalar = CostModel(arch)
+    views, result = raw_view(states, arch)
+    for i, state in enumerate(states):
+        mapping = state.to_mapping()
+        assert views[i] == scalar_view(mapping, arch), f"state {i} of {mapping.layer.name}"
+        cost = scalar.evaluate(mapping)
+        assert bool(result.valid[i]) == cost.valid
+        if cost.valid:
+            assert result.latency[i] == cost.latency
+            assert result.energy[i] == cost.energy
+            assert result.utilization[i] == cost.utilization
+        else:
+            # Invalid: masked to inf, and some violation (or broken
+            # consistency, which moves never cause) explains why.
+            assert result.latency[i] == float("inf")
+            assert views[i][3] > 0 or views[i][4] > 0 or not mapping.is_consistent()
+    return (
+        sum(view[3] > 0 for view in views),
+        sum(view[4] > 0 for view in views),
+    )
+
+
+#: Half of the spatial moves may over-subscribe a fanout, so walks cross
+#: invalid regions often enough to test the raw view there.
+OVERFLOW = {"overflow_probability": 0.5}
 
 
 class TestDeltaMatchesFullReevaluation:
+    """The kernel's view of each moved state equals a full scalar re-evaluation."""
+
     def test_random_walks_on_every_builtin_problem(self):
-        """Satellite: delta == full batch/scalar re-evaluation, bit-for-bit."""
         rng = random.Random(2026)
-        for layer in builtin_problem_layers():
-            scalar = CostModel(ARCH)
+        overflows = [0, 0]
+        # The six small problems, plus two ResNet-50 layers whose tiles
+        # overflow the buffers.
+        for layer in builtin_problem_layers() + [
+            layer_from_name("3_56_64_64_1"),
+            layer_from_name("1_7_512_2048_1"),
+        ]:
             state, fanouts = seeded_state(layer, ARCH, rng)
-            evaluator = DeltaEvaluator(state, ARCH)
-            assert_full_parity(evaluator.evaluate(), state, ARCH, scalar)
-            committed = 0
-            for _ in range(60):
-                move = propose_move(state, fanouts, rng)
-                if move is None:
-                    break
-                result, _token = evaluator.apply(move)
-                committed += 1
-                assert_full_parity(result, state, ARCH, scalar)
-            assert committed >= 20, f"{layer.name}: walk froze too early"
+            states = walk(state, fanouts, rng, 60, **OVERFLOW)
+            assert len(states) > 20, f"{layer.name}: walk froze too early"
+            for group, count in enumerate(assert_raw_parity(states, ARCH)):
+                overflows[group] += count
+        assert min(overflows) > 0, f"walks crossed too few invalid states: {overflows}"
 
     def test_random_walks_across_architecture_presets(self):
         rng = random.Random(7)
-        layer = layer_from_name("3_14_32_64_1")
+        layer = layer_from_name("3_28_128_128_1")
+        overflows = [0, 0]
         for _, arch in sorted(architecture_presets().items()):
-            scalar = CostModel(arch)
             state, fanouts = seeded_state(layer, arch, rng)
-            evaluator = DeltaEvaluator(state, arch)
-            for _ in range(25):
-                move = propose_move(state, fanouts, rng)
-                if move is None:
-                    break
-                result, _token = evaluator.apply(move)
-                assert_full_parity(result, state, arch, scalar)
+            states = walk(state, fanouts, rng, 25, **OVERFLOW)
+            for group, count in enumerate(assert_raw_parity(states, arch)):
+                overflows[group] += count
+        assert min(overflows) > 0, f"walks crossed too few invalid states: {overflows}"
 
     def test_moves_conserve_consistency(self):
         """Factor products are conserved, so consistency never breaks."""
         rng = random.Random(13)
         for layer in builtin_problem_layers():
             state, fanouts = seeded_state(layer, ARCH, rng)
-            evaluator = DeltaEvaluator(state, ARCH)
-            for _ in range(40):
-                move = propose_move(state, fanouts, rng)
-                if move is None:
-                    break
-                result, _ = evaluator.apply(move)
-                assert result.consistent
-            assert state.to_mapping().is_consistent()
+            for visited in walk(state, fanouts, rng, 40):
+                assert visited.to_mapping().is_consistent()
+
+
+class TestViolationMagnitudes:
+    def test_capacity_and_fanout_excess_are_normalized_sums(self):
+        """Hand-computed overflow of one buffer and one fanout on simba-4x4."""
+        layer = layer_from_name("3_14_32_64_1")
+        space = MapSpace(layer, ARCH)
+        # Every loop temporal at the registers, then all of C spatial at the
+        # global buffer (fanout 16).
+        state = MappingState(
+            layer=layer,
+            num_levels=space.num_levels,
+            temporal=[[[dim, bound] for dim, bound in layer.bounds.items() if bound > 1]]
+            + [[] for _ in range(space.num_levels - 1)],
+            spatial=[[] for _ in range(space.num_levels)],
+        )
+        state.apply(
+            FactorMove(dim="C", factor=32, src_level=0, src_spatial=False,
+                       dst_level=4, dst_spatial=True)
+        )
+        (view,), result = raw_view([state], ARCH)
+        assert not result.valid[0]
+        # The accumulation buffer (3072 B) holds the P*Q*K = 12544-word
+        # output tile at 3 B a word: (37632 - 3072) / 3072.  Nothing else
+        # overflows.  The global buffer's 32 lanes over-subscribe its 16.
+        assert view[3] == (37632 - 3072) / 3072 == 11.25
+        assert view[4] == (32 - 16) / 16 == 1.0
+        assert view == scalar_view(state.to_mapping(), ARCH)
 
 
 class TestPreviewAndUndo:
     def test_preview_leaves_state_and_caches_untouched(self):
+        """Writing a moved state's row (apply, add, undo) keeps the state as it was."""
         rng = random.Random(3)
         state, fanouts = seeded_state(layer_from_name("3_7_64_64_1"), ARCH, rng)
-        evaluator = DeltaEvaluator(state, ARCH)
-        before = evaluator.evaluate()
         for _ in range(30):
             move = propose_move(state, fanouts, rng)
             if move is None:
                 break
             shape = snapshot(state)
-            previewed = evaluator.preview(move)
-            assert snapshot(state) == shape, "preview mutated the state"
-            # The cached terms are still those of the un-moved state.
-            after = evaluator.evaluate()
-            assert after.raw_latency == before.raw_latency
-            assert after.raw_energy == before.raw_energy
-            # Committing the same move reproduces the preview exactly.
-            committed, token = evaluator.apply(move)
-            assert committed.valid == previewed.valid
-            assert committed.raw_latency == previewed.raw_latency
-            assert committed.raw_energy == previewed.raw_energy
-            assert committed.raw_utilization == previewed.raw_utilization
-            assert committed.capacity_violation == previewed.capacity_violation
-            assert committed.spatial_violation == previewed.spatial_violation
-            evaluator.undo(token)
+            rows = BatchRows(state.layer, state.num_levels)
+            undo = state.apply(move)
+            rows.add(state.temporal, state.spatial)
+            state.undo(undo)
+            assert snapshot(state) == shape, "writing the row mutated the state"
+            # The row is exactly the committed state's packing.
+            committed = state.clone()
+            committed.apply(move)
+            reference = MappingBatch.from_mappings([committed.to_mapping()])
+            previewed = rows.batch()
+            for name in ("temporal", "spatial", "loop_level", "loop_dim", "loop_bound"):
+                assert (getattr(previewed, name) == getattr(reference, name)).all(), name
+            state.apply(move)
 
     def test_apply_undo_restores_state_and_result(self):
         rng = random.Random(4)
         for layer in builtin_problem_layers():
             state, fanouts = seeded_state(layer, ARCH, rng)
-            evaluator = DeltaEvaluator(state, ARCH)
-            baseline = evaluator.evaluate()
+            (baseline,), _ = raw_view([state], ARCH)
             shape = snapshot(state)
             for _ in range(25):
                 move = propose_move(state, fanouts, rng)
                 if move is None:
                     break
-                _, token = evaluator.apply(move)
-                evaluator.undo(token)
+                record = state.apply(move)
+                state.undo(record)
                 assert snapshot(state) == shape
-                restored = evaluator.evaluate()
-                assert restored.raw_latency == baseline.raw_latency
-                assert restored.raw_energy == baseline.raw_energy
-                assert restored.raw_utilization == baseline.raw_utilization
+            (restored,), _ = raw_view([state], ARCH)
+            assert restored == baseline
 
     def test_state_apply_undo_round_trips(self):
         rng = random.Random(5)

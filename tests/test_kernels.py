@@ -12,6 +12,8 @@ pure speed-up:
   (problem, architecture) with observable hit/miss counters.
 """
 
+import dataclasses
+import math
 import random
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.arch import architecture_presets, gpu_k80, simba_like
 from repro.mapping import MapSpace
 from repro.model import CostModel
 from repro.model.batch import (
+    PAD,
     BatchCostModel,
     MappingBatch,
     clear_kernel_cache,
@@ -112,6 +115,40 @@ class TestPackDraws:
             assert fast.layer is draws.layer
             assert fast._source is draws  # materialize() keeps working
 
+    def test_packing_matches_a_direct_loop_walk(self):
+        """Factor products and the level-major loop sequence, built by hand."""
+        for layer in builtin_problem_layers():
+            draws = MapSpace(layer, ARCH).sample_batch(16, random.Random(1))
+            batch = MappingBatch.from_draws(draws)
+            dims = layer.problem.dims
+            sequences = []
+            for b in range(len(draws)):
+                mapping = draws.materialize(b)
+                for lvl, level in enumerate(mapping.levels):
+                    for d, dim in enumerate(dims):
+                        assert batch.temporal[b, lvl, d] == math.prod(
+                            loop.bound for loop in level.temporal if loop.dim == dim
+                        )
+                        assert batch.spatial[b, lvl, d] == math.prod(
+                            loop.bound for loop in level.spatial if loop.dim == dim
+                        )
+                sequences.append(
+                    [
+                        (lvl, dims.index(loop.dim), loop.bound)
+                        for lvl, level in enumerate(mapping.levels)
+                        for loop in level.temporal
+                    ]
+                )
+            width = max(max(len(seq) for seq in sequences), 1)
+            assert batch.loop_level.shape == (len(draws), width)
+            for b, seq in enumerate(sequences):
+                pad = [(PAD, PAD, 1)] * (width - len(seq))
+                packed = list(
+                    zip(batch.loop_level[b].tolist(), batch.loop_dim[b].tolist(),
+                        batch.loop_bound[b].tolist())
+                )
+                assert packed == seq + pad, f"{layer.name} row {b}"
+
 
 class TestKernelCache:
     def test_second_compile_hits_the_cache(self):
@@ -129,6 +166,22 @@ class TestKernelCache:
         assert info["hits"] == 2
         assert info["misses"] == 1
         assert info["entries"] == 1
+
+    def test_lookups_digest_the_problem_once(self, monkeypatch):
+        import repro.digest
+
+        problem = dataclasses.replace(matmul(m=8, n=16, k=32, name="digest_probe").problem)
+        model = BatchCostModel(ARCH)
+        real = repro.digest.stable_digest
+        calls = []
+        monkeypatch.setattr(
+            repro.digest, "stable_digest", lambda payload: calls.append(1) or real(payload)
+        )
+        assert len({id(model.kernel_for(problem)) for _ in range(3)}) == 1
+        assert len(calls) == 1  # memoized on the frozen problem
+        # The memo is the digest itself: an equal, fresh problem computes the same.
+        assert dataclasses.replace(problem).fingerprint() == problem.fingerprint()
+        assert len(calls) == 2
 
     def test_distinct_architectures_get_distinct_kernels(self):
         clear_kernel_cache()

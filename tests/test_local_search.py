@@ -5,9 +5,10 @@ Four layers of contract:
 * **End-to-end** — ``local-search`` is registered, schedules conv and
   matmul layers through ``schedule_outcome`` and the declarative ``run()``
   path, and its winner validates against the layer.
-* **Outcome invariance** — ``use_delta`` and ``eval_batch_size`` are pure
-  speed knobs: same seed, same winner, same cost, same config fingerprint
-  (the mapping-cache key).
+* **Outcome invariance** — every lockstep step is scored in one kernel
+  call, so ``eval_batch_size`` cannot change the outcome: same seed, same
+  winner, same cost, same config fingerprint (the mapping-cache key).  The
+  budget is never overrun, and the walker count keys the fingerprint.
 * **Quality** — under an equal evaluation budget the guided search is never
   worse than random search on a spread of ResNet-50 layers (and strictly
   better on some).
@@ -93,19 +94,6 @@ class TestEndToEnd:
 
 
 class TestOutcomeInvariance:
-    def test_use_delta_is_a_pure_speed_knob(self):
-        layer = layer_from_name("3_14_32_64_1")
-        with_delta = small_scheduler(use_delta=True)
-        without = small_scheduler(use_delta=False)
-        a = with_delta.schedule(layer)
-        b = without.schedule(layer)
-        assert mapping_to_dict(a.mapping) == mapping_to_dict(b.mapping)
-        assert a.cost.latency == b.cost.latency
-        assert a.num_evaluated == b.num_evaluated
-        # ... which is why the knob stays out of the cache-key fingerprint.
-        assert with_delta.config_fingerprint() == without.config_fingerprint()
-        assert "use_delta" not in with_delta._config()
-
     def test_batch_size_does_not_change_the_winner(self):
         layer = layer_from_name("3_14_32_64_1")
         reference = small_scheduler().schedule(layer)
@@ -117,6 +105,38 @@ class TestOutcomeInvariance:
             result = small_scheduler(**overrides).schedule(layer)
             assert mapping_to_dict(result.mapping) == mapping_to_dict(reference.mapping), overrides
             assert result.cost.latency == reference.cost.latency
+            assert result.num_evaluated == reference.num_evaluated
+
+    @pytest.mark.parametrize("budget", [97, 200, 1201])
+    def test_budget_is_never_overrun(self, budget):
+        # Budgets that are not multiples of the 64-draw seed batch or of the
+        # 8 walkers x 8 moves step: the last step is cut to fit exactly.
+        layer = layer_from_name("3_14_32_64_1")
+        result = small_scheduler(max_evaluations=budget).schedule(layer)
+        assert result.num_evaluated <= budget
+        assert result.num_evaluated == budget  # no walker is frozen on this layer
+        assert result.succeeded
+
+    def test_zero_time_budget_returns_nothing(self):
+        result = small_scheduler(time_budget_seconds=0.0).schedule(layer_from_name("3_7_64_64_1"))
+        assert result.mapping is None and result.cost is None
+        assert result.num_sampled == 0 and result.num_evaluated == 0
+
+    def test_removed_delta_knob_is_rejected(self):
+        with pytest.raises(TypeError):
+            LocalSearchScheduler(ARCH, use_delta=True)
+
+    def test_fingerprint_differs_from_the_single_walker_search(self):
+        # Lockstep walkers change every outcome, so cached mappings of the
+        # single-walker search (this fingerprint) must miss.
+        single_walker = (
+            '{"init_samples":64,"max_evaluations":400,"metric":"latency",'
+            '"moves_per_step":8,"perturbation":0.1,"restart_after":30,"seed":3,'
+            '"utilization_target":0.5,"weight_increment":1.0,"weight_transfer":0.2}'
+        )
+        scheduler = small_scheduler()
+        assert scheduler.config_fingerprint() != single_walker
+        assert scheduler._config()["walkers"] == LocalSearchScheduler.WALKERS == 8
 
     def test_fingerprint_ignores_execution_knobs_when_budget_free(self):
         reference = small_scheduler().config_fingerprint()
@@ -127,14 +147,14 @@ class TestOutcomeInvariance:
 
     def test_fingerprint_includes_backend_under_a_time_budget(self):
         # Budget-capped fingerprints keep the legacy ``kernel_backend`` key
-        # with its old default value, so stored entries keep hitting.  The
-        # string is pinned to the one earlier releases wrote.
+        # with its old default value.  The string is pinned: the one earlier
+        # releases wrote plus the lockstep walker count.
         budgeted = small_scheduler(time_budget_seconds=60.0)
         assert budgeted.config_fingerprint() == (
             '{"eval_batch_size":null,"init_samples":64,"kernel_backend":"numpy",'
             '"max_evaluations":400,"metric":"latency","moves_per_step":8,'
             '"perturbation":0.1,"restart_after":30,"seed":3,'
-            '"time_budget_seconds":60.0,"utilization_target":0.5,'
+            '"time_budget_seconds":60.0,"utilization_target":0.5,"walkers":8,'
             '"weight_increment":1.0,"weight_transfer":0.2}'
         )
 
